@@ -1,7 +1,7 @@
 package repro.bench
 
 import java.nio.file.Path
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.connector._
 import repro.core.{DatabaseConnector, PolyFrame}
 import repro.core.dsl._
@@ -185,6 +185,14 @@ object Benchmark {
 
   // --------------------------------------------------------- environment setup
 
+  /** Load `data` into `connector` as both benchmark collections (expression
+    * 12 joins the second to the first) and wrap it as a target.
+    */
+  def polyFrameTarget(connector: DatabaseConnector, data: DataFrame): PolyFrameTarget = {
+    Seq("wisconsin", "wisconsin2").foreach(c => connector.initialize("Bench", c, data))
+    new PolyFrameTarget(connector, "Bench", "wisconsin", "wisconsin2")
+  }
+
   /** Build every single-node target over a freshly generated Wisconsin
     * dataset of n records: the eager baseline plus PolyFrame on SparkSQL,
     * DuckDB, MiniMongo and MiniCypher. Returns (targets, cleanup).
@@ -201,22 +209,10 @@ object Benchmark {
     val jsonPath = tmpDir.resolve(s"wisconsin_$n.json")
     WisconsinData.writeJsonLines(data, jsonPath)
 
-    val sparkConn  = new SparkSqlConnector(spark)
-    val duckConn   = new DuckDbConnector()
-    val mongoConn  = new MongoConnector(spark)
-    val cypherConn = new CypherConnector(spark)
-    Seq("wisconsin", "wisconsin2").foreach { c =>
-      Seq[DatabaseConnector](sparkConn, duckConn, mongoConn, cypherConn)
-        .foreach(_.initialize("Bench", c, data))
-    }
-
-    val targets = Seq(
-      new EagerTarget(jsonPath, budget),
-      new PolyFrameTarget(sparkConn,  "Bench", "wisconsin", "wisconsin2"),
-      new PolyFrameTarget(duckConn,   "Bench", "wisconsin", "wisconsin2"),
-      new PolyFrameTarget(mongoConn,  "Bench", "wisconsin", "wisconsin2"),
-      new PolyFrameTarget(cypherConn, "Bench", "wisconsin", "wisconsin2"),
-    )
+    val duckConn = new DuckDbConnector()
+    val targets = new EagerTarget(jsonPath, budget) +:
+      Seq(new SparkSqlConnector(spark), duckConn, new MongoConnector(spark), new CypherConnector(spark))
+        .map(polyFrameTarget(_, data))
     val cleanup = () => {
       duckConn.close()
       data.unpersist()

@@ -2,6 +2,7 @@ package repro.connector
 
 import java.sql.DriverManager
 import scala.collection.mutable
+import scala.util.Using
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.types._
 import repro.core.{DatabaseConnector, LanguageConfig, LocalResult}
@@ -9,6 +10,19 @@ import repro.core.languages.Languages
 import repro.cypher.MiniCypher
 import repro.mongo.MiniMongo
 import repro.util.{JArr, Json}
+
+/** A connector whose backend runs on Spark: it turns the shipped query
+  * into an un-collected DataFrame (`plan`), and every action collects that
+  * plan the same way. Tests call `plan` to inspect the plan the backend
+  * runs (e.g. that Catalyst collapses the per-operation nesting).
+  */
+trait SparkBacked extends DatabaseConnector {
+  /** The DataFrame for an already pre-processed query. */
+  def plan(shipped: String, baseCollection: String): DataFrame
+
+  final override def execute(query: String, baseCollection: String): LocalResult =
+    LocalResult.fromDF(plan(query, baseCollection))
+}
 
 /** Spark SQL connector — the primary retarget of this reproduction.
   * Collections are registered as temp views; generated nested SQL text is
@@ -18,22 +32,13 @@ import repro.util.{JArr, Json}
   */
 final class SparkSqlConnector(val spark: SparkSession,
                               override val lang: LanguageConfig = Languages.sparkSql)
-    extends DatabaseConnector {
+    extends SparkBacked {
   override def name = "PolyFrame-SparkSQL"
-  private val schemas = mutable.Map.empty[String, Seq[String]]
 
-  override def initialize(namespace: String, collection: String, data: DataFrame): Unit = {
+  override def initialize(namespace: String, collection: String, data: DataFrame): Unit =
     data.createOrReplaceTempView(collection)
-    schemas(collection) = data.columns.toSeq
-  }
 
-  /** The un-collected DataFrame for a query — used by tests to hand the
-    * result straight to the DuckDB oracle.
-    */
-  def dataFrame(query: String): DataFrame = spark.sql(query)
-
-  override def execute(query: String, baseCollection: String): LocalResult =
-    LocalResult.fromDF(spark.sql(query))
+  override def plan(shipped: String, baseCollection: String): DataFrame = spark.sql(shipped)
 }
 
 /** DuckDB connector — executes the PostgreSQL-flavoured SQL rules on an
@@ -47,7 +52,9 @@ final class DuckDbConnector(threads: Int = 1,
   override def name = "PolyFrame-DuckDB"
   Class.forName("org.duckdb.DuckDBDriver")
   val conn: java.sql.Connection = DriverManager.getConnection("jdbc:duckdb:")
-  conn.createStatement().execute(s"SET threads TO $threads")
+  update(s"SET threads TO $threads")
+
+  private def update(sql: String): Unit = Using.resource(conn.createStatement())(_.execute(sql))
 
   private def sqlType(dt: DataType): String = dt match {
     case LongType            => "BIGINT"
@@ -61,27 +68,31 @@ final class DuckDbConnector(threads: Int = 1,
     case _                   => "VARCHAR"
   }
 
+  /** The one way a table gets into DuckDB: a typed `CREATE TABLE` filled
+    * by `COPY` from a CSV spill of the collected rows.
+    */
   override def initialize(namespace: String, collection: String, data: DataFrame): Unit = {
-    val st = conn.createStatement()
-    st.execute(s"CREATE SCHEMA IF NOT EXISTS $namespace")
-    val cols = data.schema.fields.map(f => s""""${f.name}" ${sqlType(f.dataType)}""").mkString(", ")
-    st.execute(s"""DROP TABLE IF EXISTS $namespace."$collection"""")
-    st.execute(s"""CREATE TABLE $namespace."$collection" ($cols)""")
+    val table = s"""$namespace."$collection""""
+    val cols  = data.schema.fields.map(f => s""""${f.name}" ${sqlType(f.dataType)}""").mkString(", ")
+    update(s"CREATE SCHEMA IF NOT EXISTS $namespace")
+    update(s"DROP TABLE IF EXISTS $table")
+    update(s"CREATE TABLE $table ($cols)")
     val rows = data.collect()
-    try copyLoad(namespace, collection, data, rows)
-    catch { case _: Exception => batchLoad(namespace, collection, data, rows) }
-    st.close()
+    // COPY cannot sniff an empty file; an empty table needs no load
+    if (rows.nonEmpty) copyLoad(table, data.columns.length, rows)
   }
 
-  /** Fast path: spill to CSV and `COPY` (DuckDB's bulk loader). */
-  private def copyLoad(namespace: String, collection: String,
-                       data: DataFrame, rows: Array[org.apache.spark.sql.Row]): Unit = {
+  /** Strings are always quoted, so an empty string is `""` and only an
+    * empty field is NULL (`ALLOW_QUOTED_NULLS false`: DuckDB would
+    * otherwise read `""` as NULL too).
+    */
+  private def copyLoad(table: String, width: Int, rows: Array[org.apache.spark.sql.Row]): Unit = {
     val tmp = java.nio.file.Files.createTempFile("duckload", ".csv")
     try {
       val w = java.nio.file.Files.newBufferedWriter(tmp)
       try rows.foreach { r =>
         var i = 0
-        while (i < data.columns.length) {
+        while (i < width) {
           if (i > 0) w.write(',')
           r.get(i) match {
             case null      => // empty field = NULL
@@ -92,47 +103,21 @@ final class DuckDbConnector(threads: Int = 1,
         }
         w.write('\n')
       } finally w.close()
-      conn.createStatement().execute(
-        s"""COPY $namespace."$collection" FROM '${tmp.toAbsolutePath}' (HEADER false, NULL '')""")
+      update(s"COPY $table FROM '${tmp.toAbsolutePath}' (HEADER false, NULL '', ALLOW_QUOTED_NULLS false)")
     } finally java.nio.file.Files.deleteIfExists(tmp)
   }
 
-  /** Fallback: transactional prepared-statement batches. */
-  private def batchLoad(namespace: String, collection: String,
-                        data: DataFrame, rows: Array[org.apache.spark.sql.Row]): Unit = {
-    val ps = conn.prepareStatement(
-      s"""INSERT INTO $namespace."$collection" VALUES (${data.columns.map(_ => "?").mkString(",")})""")
-    conn.setAutoCommit(false)
-    var n = 0
-    rows.foreach { r =>
-      data.columns.indices.foreach { i =>
-        r.get(i) match {
-          case null          => ps.setNull(i + 1, java.sql.Types.INTEGER)
-          case v: Long       => ps.setLong(i + 1, v)
-          case v: Int        => ps.setInt(i + 1, v)
-          case v: Double     => ps.setDouble(i + 1, v)
-          case v: Boolean    => ps.setBoolean(i + 1, v)
-          case v: String     => ps.setString(i + 1, v)
-          case other         => ps.setString(i + 1, other.toString)
-        }
+  override def execute(query: String, baseCollection: String): LocalResult =
+    Using.resource(conn.createStatement()) { st =>
+      Using.resource(st.executeQuery(query)) { rs =>
+        val meta = rs.getMetaData
+        val cols = (1 to meta.getColumnCount).map(meta.getColumnLabel)
+        val rows = Iterator.continually(rs).takeWhile(_.next())
+          .map(r => cols.indices.map(i => LocalResult.normalize(r.getObject(i + 1))))
+          .toVector
+        LocalResult(cols, rows)
       }
-      ps.addBatch(); n += 1
-      if (n % 10000 == 0) ps.executeBatch()
     }
-    ps.executeBatch(); ps.close()
-    conn.commit()
-    conn.setAutoCommit(true)
-  }
-
-  override def execute(query: String, baseCollection: String): LocalResult = {
-    val rs   = conn.createStatement().executeQuery(query)
-    val meta = rs.getMetaData
-    val cols = (1 to meta.getColumnCount).map(meta.getColumnLabel)
-    val rows = Iterator.continually(rs).takeWhile(_.next())
-      .map(r => cols.indices.map(i => LocalResult.normalize(r.getObject(i + 1))))
-      .toVector
-    LocalResult(cols, rows)
-  }
 
   override def close(): Unit = conn.close()
 }
@@ -145,7 +130,7 @@ final class DuckDbConnector(threads: Int = 1,
   */
 final class MongoConnector(val spark: SparkSession,
                            override val lang: LanguageConfig = Languages.mongo)
-    extends DatabaseConnector {
+    extends SparkBacked {
   override def name = "PolyFrame-MiniMongo"
   private val collections = mutable.Map.empty[String, DataFrame]
 
@@ -154,16 +139,8 @@ final class MongoConnector(val spark: SparkSession,
 
   override def preProcess(query: String, baseCollection: String): String = s"[ $query ]"
 
-  /** The un-collected DataFrame for a pipeline — for oracle-based tests. */
-  def dataFrame(query: String, baseCollection: String): DataFrame = {
-    val pipeline = Json.parse(preProcess(query, baseCollection)).asInstanceOf[JArr]
-    MiniMongo.run(collections(baseCollection), pipeline, collections(_))
-  }
-
-  override def execute(query: String, baseCollection: String): LocalResult = {
-    val pipeline = Json.parse(query).asInstanceOf[JArr]
-    LocalResult.fromDF(MiniMongo.run(collections(baseCollection), pipeline, collections(_)))
-  }
+  override def plan(shipped: String, baseCollection: String): DataFrame =
+    MiniMongo.run(collections(baseCollection), Json.parse(shipped).asInstanceOf[JArr], collections(_))
 
   /** Strip MongoDB's internal `_id` if a pipeline ever leaks it. */
   override def postProcess(result: LocalResult): LocalResult = {
@@ -180,7 +157,7 @@ final class MongoConnector(val spark: SparkSession,
   */
 final class CypherConnector(val spark: SparkSession,
                             override val lang: LanguageConfig = Languages.cypher)
-    extends DatabaseConnector {
+    extends SparkBacked {
   override def name = "PolyFrame-MiniCypher"
   private val collections = mutable.Map.empty[String, DataFrame]
   private val counts      = mutable.Map.empty[String, Long]
@@ -190,11 +167,8 @@ final class CypherConnector(val spark: SparkSession,
     counts(collection) = data.count() // Neo4j maintains its counts store at write time
   }
 
-  /** The un-collected DataFrame for a query — for oracle-based tests. */
-  def dataFrame(query: String): DataFrame = MiniCypher.run(query, collections(_))
-
-  override def execute(query: String, baseCollection: String): LocalResult =
-    LocalResult.fromDF(MiniCypher.run(query, collections(_)))
+  override def plan(shipped: String, baseCollection: String): DataFrame =
+    MiniCypher.run(shipped, collections(_))
 
   override def countMetadata(collection: String): Option[Long] = counts.get(collection)
 }

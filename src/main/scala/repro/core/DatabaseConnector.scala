@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.{DataFrame, Row}
 
 /** A materialized query result, returned by actions the way AFrame returns
   * a Pandas DataFrame: a small, driver-local table.
@@ -29,35 +28,15 @@ final case class LocalResult(columns: Seq[String], rows: Seq[Seq[Any]]) {
     case other     => other.toString.toDouble
   }
 
-  /** Convert to a Spark DataFrame (types inferred per column) so results
-    * can be checked with ``repro.Oracle.assertEquivalent``.
+  /** The form every result comparison uses (the DuckDB oracle and the
+    * cross-backend checks): columns ordered by lower-cased name, each
+    * value rendered by `canonicalValue`, rows sorted. Row
+    * order and column order are ignored; column names are not compared.
     */
-  def toDF(spark: SparkSession): DataFrame = {
-    val norm = rows.map(_.map(LocalResult.normalize))
-    val fields = columns.zipWithIndex.map { case (c, i) =>
-      val vs = norm.iterator.map(_(i)).filter(_ != null).toSeq
-      val allNum = vs.nonEmpty && vs.forall(v => v.isInstanceOf[Long] || v.isInstanceOf[Double])
-      val dt: DataType =
-        if (vs.isEmpty) StringType
-        else if (allNum && vs.exists(_.isInstanceOf[Double])) DoubleType
-        else if (allNum) LongType
-        else if (vs.forall(_.isInstanceOf[Boolean])) BooleanType
-        else StringType
-      StructField(c, dt, nullable = true)
-    }
-    val schema = StructType(fields)
-    val data = norm.map { r =>
-      Row.fromSeq(r.zip(fields).map {
-        case (null, _) => null
-        case (v: Long, f)    if f.dataType == DoubleType => v.toDouble
-        case (v: Long, f)    if f.dataType == StringType => v.toString
-        case (v: Double, f)  if f.dataType == StringType => v.toString
-        case (v: Boolean, f) if f.dataType == StringType => v.toString
-        case (v, f) if f.dataType == StringType          => v.toString
-        case (v, _) => v
-      })
-    }
-    spark.createDataFrame(spark.sparkContext.parallelize(data.toList, 1), schema)
+  def canonicalRows: Seq[Seq[Option[String]]] = {
+    import Ordering.Implicits._
+    val order = columns.indices.sortBy(i => columns(i).toLowerCase)
+    rows.map(r => order.map(i => LocalResult.canonicalValue(r(i)))).sorted
   }
 }
 
@@ -78,6 +57,18 @@ object LocalResult {
     case s: String => s
     case d: java.sql.Date => d.toString
     case other => other.toString
+  }
+
+  /** A value as `canonicalRows` compares it: `None` for
+    * null (so no string can stand in for a missing value), numbers after
+    * [[normalize]] rounded to 6 decimals without trailing zeros (`3L`,
+    * `3.0` and `2.9999999` all read "3"), anything else as its text.
+    */
+  private def canonicalValue(v: Any): Option[String] = normalize(v) match {
+    case null => None
+    case d: Double if !d.isNaN && !d.isInfinite =>
+      Some(BigDecimal(d).setScale(6, BigDecimal.RoundingMode.HALF_UP).bigDecimal.stripTrailingZeros.toPlainString)
+    case x => Some(x.toString)
   }
 
   def fromSparkRows(columns: Seq[String], rows: Seq[Row]): LocalResult =

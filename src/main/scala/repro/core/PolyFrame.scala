@@ -218,12 +218,7 @@ object PolyFrame {
 
     private def aggImpl(items: Seq[(String, String)]): PolyFrame = {
       val lang = pf.connector.lang
-      val aggAliased = items.map { case (fn, attr) =>
-        val alias = s"${fn}_$attr"
-        val agg   = lang.sub("FUNCTIONS", fn, "attribute" -> attr)
-        lang.sub("ATTRIBUTES", "agg_alias", "alias" -> alias, "agg" -> agg)
-      }
-      val aliases = items.map { case (fn, attr) => s"${fn}_$attr" }
+      val (aliases, aggAliased) = items.map { case (fn, attr) => pf.aggItem(fn, attr) }.unzip
       val q =
         if (lang.has("GROUPBY", "id_field")) {
           // MongoDB shape: group under _id, restore keys, drop _id.

@@ -160,20 +160,18 @@ object Languages {
       |return_all = $subquery
       |""".stripMargin)
 
-  /** Spark SQL — the primary retarget of this reproduction. Identical in
-    * shape to the SQL rules; identifiers are unquoted (temp-view names
-    * carry no namespace, so `q_all` references `$collection` directly).
+  /** Spark SQL — the primary retarget of this reproduction, written as
+    * overrides of the SQL rules (the paper's User-Defined Rewrites).
+    * Identifiers are unquoted (temp-view names carry no namespace, so
+    * `q_all` references `$collection` directly), types use Spark's names,
+    * and ascending sorts put nulls last as Pandas does (Spark's default
+    * is first; `DESC` already puts them last).
     */
-  val sparkSql: LanguageConfig = LanguageConfig("sparksql",
+  val sparkSql: LanguageConfig = new LanguageConfig("sparksql", sql.withOverrides(
     """[QUERIES]
       |q_all = SELECT * FROM $collection t
-      |q_project = SELECT $attrs FROM ($subquery) t
       |q_project_value = SELECT $statement AS $alias FROM ($subquery) t
-      |q_filter = SELECT t.* FROM ($subquery) t WHERE $condition
-      |q_groupby = SELECT $select_list FROM ($subquery) t GROUP BY $group_keys
-      |q_sort = SELECT * FROM ($subquery) t ORDER BY $sort_attrs
       |q_join = SELECT l.*, r.* FROM ($subquery) l INNER JOIN ($right_subquery) r ON l.$left_on = r.$right_on
-      |q_agg_value = SELECT $aggs FROM ($subquery) t
       |q_count_all = SELECT COUNT(*) AS count FROM ($subquery) t
       |
       |[ATTRIBUTES]
@@ -182,42 +180,12 @@ object Languages {
       |attribute_alias = $statement AS $alias
       |group_key = t.$attribute
       |agg_alias = $agg AS $alias
-      |sort_asc_attr = t.$attribute
+      |sort_asc_attr = t.$attribute NULLS LAST
       |sort_desc_attr = t.$attribute DESC
-      |attribute_separator = $left, $right
-      |
-      |[ARITHMETIC STATEMENTS]
-      |add = $left + $right
-      |sub = $left - $right
-      |mul = $left * $right
-      |div = $left / $right
-      |mod = $left % $right
-      |
-      |[LOGICAL STATEMENTS]
-      |and = $left AND $right
-      |or = $left OR $right
-      |not = NOT $left
-      |
-      |[COMPARISON STATEMENTS]
-      |eq = $left = $right
-      |ne = $left != $right
-      |gt = $left > $right
-      |lt = $left < $right
-      |ge = $left >= $right
-      |le = $left <= $right
-      |isna = $left IS NULL
       |
       |[TYPE CONVERSION]
       |to_int = CAST($statement AS INT)
       |to_str = CAST($statement AS STRING)
-      |
-      |[STRING FUNCTIONS]
-      |upper = upper($statement)
-      |lower = lower($statement)
-      |
-      |[LITERALS]
-      |string = '$value'
-      |null = NULL
       |
       |[FUNCTIONS]
       |min = MIN(t.$attribute)
@@ -226,12 +194,7 @@ object Languages {
       |std = STDDEV_POP(t.$attribute)
       |count = COUNT(t.$attribute)
       |sum = SUM(t.$attribute)
-      |
-      |[LIMIT]
-      |limit = $subquery
-      | LIMIT $num
-      |return_all = $subquery
-      |""".stripMargin)
+      |""".stripMargin).sections)
 
   /** MongoDB aggregation-pipeline stages (comma-separated; the connector
     * wraps them in `aggregate([...])`). `operand_is_bare_attribute` makes

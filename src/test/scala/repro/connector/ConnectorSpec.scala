@@ -30,6 +30,14 @@ class ConnectorSpec extends SparkSpec {
     } finally c.close()
   }
 
+  test("DuckDbConnector loads an empty collection as an empty typed table") {
+    val c = new DuckDbConnector()
+    try {
+      c.initialize("Ns2", "empty", data.limit(0))
+      assert(c.execute("SELECT COUNT(*) AS c, MAX(unique1) AS m FROM Ns2.empty", "empty").rows == Seq(Seq(0L, null)))
+    } finally c.close()
+  }
+
   test("DuckDbConnector honors the threads setting") {
     val c = new DuckDbConnector(threads = 2)
     try {
@@ -82,12 +90,31 @@ class ConnectorSpec extends SparkSpec {
     assert(c.countMetadata("m2").isEmpty)
   }
 
-  test("SparkSqlConnector round-trips results through LocalResult.toDF") {
+  test("SparkSqlConnector returns a group-by result as a LocalResult") {
     val c = new SparkSqlConnector(spark)
     c.initialize("Bench", "conn_t2", data)
-    val r  = c.execute("SELECT twenty, COUNT(*) AS n FROM conn_t2 GROUP BY twenty", "conn_t2")
-    val df = r.toDF(spark)
-    assert(df.count() == 20)
-    assert(df.columns.toSeq == Seq("twenty", "n"))
+    val r = c.execute("SELECT twenty, COUNT(*) AS n FROM conn_t2 GROUP BY twenty", "conn_t2")
+    assert(r.columns == Seq("twenty", "n"))
+    assert(r.size == 20)
+    assert(r.rows.map(_.head).toSet == (0L until 20L).toSet)
+    assert(r.rows.forall(_(1) == 25L))
+  }
+
+  test("every connector loads empty strings, nulls, commas, quotes and newlines unchanged") {
+    import spark.implicits._
+    val tricky = Seq[(Long, String)](
+      (1L, ""), (2L, null), (3L, "a,b"), (4L, "say \"hi\""), (5L, "line1\nline2"), (6L, "plain"))
+      .toDF("k", "s")
+    val duck = new DuckDbConnector()
+    try {
+      val conns = Seq(new SparkSqlConnector(spark), duck, new MongoConnector(spark), new CypherConnector(spark))
+      val expected = LocalResult.fromDF(tricky).canonicalRows
+      conns.foreach { c =>
+        c.initialize("Rt", "tricky", tricky)
+        val pf = PolyFrame(c, "Rt", "tricky", Seq("k", "s"))
+        assert(pf.filter(repro.core.dsl.col("s").isna).count() == 1L, c.name)
+        assert(pf.collectAll().canonicalRows == expected, c.name)
+      }
+    } finally duck.close()
   }
 }

@@ -30,27 +30,34 @@ class LocalResultSpec extends SparkSpec {
     intercept[IllegalArgumentException](LocalResult(Seq("n"), Nil).scalar)
   }
 
-  test("toDF infers Long / Double / Boolean / String columns") {
-    val r = LocalResult(Seq("l", "d", "b", "s"),
-      Seq(Seq(1L, 1.5, true, "a"), Seq(2L, 2.5, false, "b")))
-    val df = r.toDF(spark)
-    val types = df.schema.fields.map(f => f.name -> f.dataType.simpleString).toMap
-    assert(types == Map("l" -> "bigint", "d" -> "double", "b" -> "boolean", "s" -> "string"))
-    assert(df.count() == 2)
+  test("canonical form ignores row order and column order") {
+    val a = LocalResult(Seq("k", "v"), Seq(Seq(1L, "a"), Seq(2L, "b")))
+    val b = LocalResult(Seq("V", "K"), Seq(Seq("b", 2L), Seq("a", 1L)))
+    assert(a.canonicalRows == b.canonicalRows)
+    assert(a.canonicalRows != LocalResult(Seq("k", "v"), Seq(Seq(1L, "b"), Seq(2L, "a"))).canonicalRows)
   }
 
-  test("toDF widens mixed Long/Double columns to Double") {
-    val r  = LocalResult(Seq("x"), Seq(Seq(1L), Seq(2.5)))
-    val df = r.toDF(spark)
-    assert(df.schema.fields.head.dataType.simpleString == "double")
-    assert(df.collect().map(_.getDouble(0)).sorted.toSeq == Seq(1.0, 2.5))
+  test("canonical form sorts rows by column, not by their concatenation") {
+    // ("1","23") and ("12","3") concatenate to the same text; the order they
+    // arrive in must not matter
+    val rows = Seq(Seq("1", "23"), Seq("12", "3"))
+    assert(LocalResult(Seq("a", "b"), rows).canonicalRows ==
+           LocalResult(Seq("a", "b"), rows.reverse).canonicalRows)
   }
 
-  test("toDF keeps nulls and falls back to String for mixed columns") {
-    val r  = LocalResult(Seq("x"), Seq(Seq(null), Seq("a"), Seq(1L)))
-    val df = r.toDF(spark)
-    assert(df.schema.fields.head.dataType.simpleString == "string")
-    assert(df.collect().map(_.getString(0)).toSet == Set(null, "a", "1"))
+  test("canonical form treats numerically equal values as equal") {
+    def one(v: Any) = LocalResult(Seq("x"), Seq(Seq(v))).canonicalRows
+    assert(one(3L) == one(3.0))
+    assert(one(3) == one(new java.math.BigDecimal("3.000")))
+    assert(one(0.1 + 0.2) == one(0.3))
+    assert(one(2.5f) == one(2.5))
+    assert(one(3L) != one(3.5))
+  }
+
+  test("canonical form keeps null distinct from every string") {
+    def one(v: Any) = LocalResult(Seq("x"), Seq(Seq(v))).canonicalRows
+    Seq("∅", "null", "", "None").foreach(s => assert(one(null) != one(s), s))
+    assert(one(null) == one(null))
   }
 
   test("fromDF round-trips a Spark DataFrame") {

@@ -30,7 +30,7 @@ class OptimizerCollapseSpec extends SparkSpec {
       .select("unique1", "ten")
       .sortValues("unique1", ascending = false)
     val q  = pf.headQuery(5)
-    val qe = conn.dataFrame(q).queryExecution
+    val qe = conn.plan(q, "owisc").queryExecution
     val analyzedProjects  = countNodes(qe.analyzed,  _.isInstanceOf[Project])
     val optimizedProjects = countNodes(qe.optimizedPlan, _.isInstanceOf[Project])
     // the nested SELECTs are visible before optimization...
@@ -42,23 +42,23 @@ class OptimizerCollapseSpec extends SparkSpec {
 
   test("nested filters merge into one Filter") {
     val pf = base.filter(col("ten") === 4).filter(col("two") === 0).filter(col("four") === 0)
-    val qe = conn.dataFrame(pf.countQuery).queryExecution
+    val qe = conn.plan(pf.countQuery, "owisc").queryExecution
     assert(countNodes(qe.optimizedPlan, _.isInstanceOf[Filter]) == 1,
       s"filters not merged:\n${qe.optimizedPlan}")
   }
 
   test("execution of the optimized nested query gives the same result as a flat query") {
     val pf = base.filter(col("ten") === 4).filter(col("two") === 0)
-    val nested = conn.dataFrame(pf.countQuery).collect().head.getLong(0)
-    val flat = conn.dataFrame(
-      "SELECT COUNT(*) AS count FROM owisc WHERE ten = 4 AND two = 0").collect().head.getLong(0)
+    val nested = conn.plan(pf.countQuery, "owisc").collect().head.getLong(0)
+    val flat = conn.plan(
+      "SELECT COUNT(*) AS count FROM owisc WHERE ten = 4 AND two = 0", "owisc").collect().head.getLong(0)
     assert(nested == flat)
     assert(nested == 20L)
   }
 
   test("projection pruning reaches through the subquery nesting") {
     val pf = base.select("unique1")
-    val qe = conn.dataFrame(pf.collectQuery).queryExecution
+    val qe = conn.plan(pf.collectQuery, "owisc").queryExecution
     // the scan should output only what the final projection needs
     assert(qe.optimizedPlan.output.map(_.name) == Seq("unique1"))
   }

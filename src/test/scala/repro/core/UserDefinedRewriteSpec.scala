@@ -23,6 +23,18 @@ class UserDefinedRewriteSpec extends AnyFunSuite {
     assert(custom.sub("LIMIT", "return_all", "subquery" -> "Q") == "Q")
   }
 
+  test("the stock Spark SQL config is the SQL rules plus overrides, under its own name") {
+    val (spark, sql) = (Languages.sparkSql, Languages.sql)
+    assert(spark.name == "sparksql")
+    assert(spark.sections.keySet == sql.sections.keySet)
+    Seq("q_project", "q_filter", "q_groupby", "q_sort", "q_agg_value").foreach(k =>
+      assert(spark.template("QUERIES", k) == sql.template("QUERIES", k), k))
+    Seq("COMPARISON STATEMENTS", "LITERALS", "LIMIT").foreach(sec =>
+      assert(spark.sections(sec) == sql.sections(sec), sec))
+    assert(spark.template("ATTRIBUTES", "sort_asc_attr") == "t.$attribute NULLS LAST")
+    assert(spark.template("TYPE CONVERSION", "to_str") == "CAST($statement AS STRING)")
+  }
+
   test("overrides may add brand-new rules (system-specific capability)") {
     val custom = Languages.mongo.withOverrides(
       """[SAVE RESULTS]
