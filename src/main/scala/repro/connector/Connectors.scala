@@ -64,7 +64,7 @@ final class DuckDbConnector(threads: Int = 1,
     case FloatType           => "FLOAT"
     case BooleanType         => "BOOLEAN"
     case _: DecimalType      => "DOUBLE"
-    case DateType            => "VARCHAR"
+    case DateType            => "DATE"
     case _                   => "VARCHAR"
   }
 

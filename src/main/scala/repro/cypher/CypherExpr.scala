@@ -201,13 +201,18 @@ object CypherExpr {
 
   // ------------------------------------------------------------------ to Spark
 
-  /** Scalar translation; variable references resolve to struct fields
-    * (`t.attr` → `col("t.attr")` on a state frame whose per-variable
-    * columns are structs).
-    */
+  /** Name of MiniCypher's state column for attribute `attr` of variable `v`. */
+  private[cypher] def stateName(v: String, attr: String): String = s"$v.$attr"
+
+  /** MiniCypher's flat state column for `v.attr`. */
+  private[cypher] def stateColumn(v: String, attr: String): Column = quoted(stateName(v, attr))
+
+  /** A column by its exact name (dots and backticks taken literally). */
+  private[cypher] def quoted(name: String): Column = col("`" + name.replace("`", "``") + "`")
+
+  /** Scalar translation; `t.attr` resolves to its own flat state column. */
   def toColumn(a: Ast): Column = a match {
-    case Ref(v, attr) => col(s"$v.$attr")
-    case Var(v)       => col(v)
+    case Ref(v, attr) => stateColumn(v, attr)
     case Str(s)       => lit(s)
     case Num(d)       => if (d.isWhole && math.abs(d) < 1e15) lit(d.toLong) else lit(d)
     case Bool(b)      => lit(b)

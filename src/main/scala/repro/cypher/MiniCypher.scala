@@ -8,21 +8,29 @@ import CypherExpr._
   * rules emit, running on Spark DataFrames — the stand-in substrate for
   * Neo4j (DESIGN.md §3).
   *
-  * Execution state is a DataFrame with **one struct column per Cypher
-  * variable** (`t`, and `r` after a join MATCH), so `t.attr` resolves as a
-  * struct-field path and a join never creates ambiguous columns.
+  * Execution state is a DataFrame of **flat columns, one per (variable,
+  * attribute)**: `t.attr` is the column named `t.attr` (see
+  * `CypherExpr.stateColumn`), a `WITH v{…}` projection is a plain `select`
+  * of aliased columns, and a join MATCH prefixes both sides, so `t` and `r`
+  * never collide. A per-run map from each variable to its attribute list
+  * says which columns `RETURN v` takes back to their bare names. Flat
+  * columns keep Catalyst cheap on notebook-style chains: a struct column
+  * per variable made `CollapseProject` inline each `CreateNamedStruct`
+  * into every `GetStructField` of the next projection, so stacked
+  * `WITH t{…}` clauses grew the expression trees multiplicatively before
+  * they were simplified (up to seconds of optimizer time per action).
   *
   * Clauses (one per line, as the rewrite templates emit them):
   * {{{
   * MATCH(t: label)                      scan
-  * MATCH(r: label) WHERE t.a = r.b     equi-join with the current state
+  * MATCH(r: label) WHERE t.a = r.b     join with the current state
   * WITH t{'a': expr, ...}              map projection (variable stays t)
   * WITH t WHERE pred                    filter
   * WITH { 'k': t.k, 'x': max(t.a) } AS t   implicit-grouping aggregation
-  * WITH t ORDER BY t.a [DESC]           sort
-  * WITH t, r                            keep both variables
+  * WITH t ORDER BY t.a [DESC]           sort, nulls last both ways
+  * WITH t, r                            keep these variables
   * RETURN COUNT(*) AS t                 count action
-  * RETURN t                             flatten t's fields into columns
+  * RETURN t                             t's attributes as bare columns
   * LIMIT n
   * }}}
   */
@@ -32,7 +40,7 @@ object MiniCypher {
 
   sealed trait Clause
   final case class MatchScan(variable: String, label: String)                    extends Clause
-  final case class MatchJoin(variable: String, label: String, pred: String)      extends Clause
+  final case class MatchJoin(variable: String, label: String, pred: Ast)         extends Clause
   final case class WithProjection(variable: String, fields: Seq[(String, Ast)])  extends Clause
   final case class WithWhere(variable: String, pred: Ast)                        extends Clause
   final case class WithGroup(fields: Seq[(String, Ast)], as: String)             extends Clause
@@ -94,7 +102,7 @@ object MiniCypher {
   def parseClauses(query: String): Seq[Clause] =
     query.linesIterator.map(_.trim).filter(_.nonEmpty).map {
       case matchRe(v, label)            => MatchScan(v, label)
-      case matchJoinRe(v, label, pred)  => MatchJoin(v, label, pred)
+      case matchJoinRe(v, label, pred)  => MatchJoin(v, label, CypherExpr.parse(pred))
       case withWhereRe(v, pred)         => WithWhere(v, CypherExpr.parse(pred))
       case withOrderRe(v, key, desc)    => WithOrder(v, CypherExpr.parse(key), desc != null)
       case withGroupRe(fields, as)      => WithGroup(splitFields(fields), as)
@@ -106,36 +114,32 @@ object MiniCypher {
       case other                         => throw CypherError(s"unparseable clause: '$other'")
     }.toSeq
 
-  /** Wrap a raw collection DataFrame as a single struct column `v`. */
-  private def asVariable(df: DataFrame, v: String): DataFrame =
-    df.select(struct(df.columns.map(col): _*).as(v))
+  /** A collection's columns as the state columns of variable `v`. */
+  private def bind(collection: DataFrame, v: String): DataFrame =
+    collection.select(collection.columns.toIndexedSeq.map(c => quoted(c).as(stateName(v, c))): _*)
 
   def run(query: String, collections: String => DataFrame): DataFrame =
     runClauses(parseClauses(query), collections)
 
   def runClauses(clauses: Seq[Clause], collections: String => DataFrame): DataFrame = {
     var df: DataFrame = null
+    var vars = Map.empty[String, Seq[String]] // variable -> its attributes, in column order
     clauses.foreach {
       case MatchScan(v, label) =>
         require(df == null, "MATCH scan must be the first clause")
-        df = asVariable(collections(label), v)
+        val source = collections(label)
+        df = bind(source, v)
+        vars = Map(v -> source.columns.toSeq)
 
-      case MatchJoin(v, label, predText) =>
-        val right = asVariable(collections(label), v)
-        CypherExpr.parse(predText) match {
-          case Bin("=", l, r) =>
-            // equi-join: one side references the new variable
-            val (leftKey, rightKey) = (l, r) match {
-              case (Ref(`v`, _), _) => (r, l)
-              case _                => (l, r)
-            }
-            df = df.join(right, toColumn(leftKey) === toColumn(rightKey), "inner")
-          case other =>
-            df = df.crossJoin(right).filter(toColumn(other))
-        }
+      case MatchJoin(v, label, pred) =>
+        require(!vars.contains(v), s"variable $v is already bound")
+        val source = collections(label)
+        df = df.join(bind(source, v), toColumn(pred), "inner")
+        vars += v -> source.columns.toSeq
 
       case WithProjection(v, fields) =>
-        df = df.select(struct(fields.map { case (a, e) => toColumn(e).as(a) }: _*).as(v))
+        df = df.select(fields.map { case (a, e) => toColumn(e).as(stateName(v, a)) }: _*)
+        vars = Map(v -> fields.map(_._1))
 
       case WithWhere(_, pred) =>
         df = df.filter(toColumn(pred))
@@ -143,27 +147,26 @@ object MiniCypher {
       case WithGroup(fields, as) =>
         val (aggs, keys) = fields.partition { case (_, e) => containsAggregate(e) }
         require(aggs.nonEmpty, "WITH-group needs at least one aggregate")
-        val aggCols = aggs.map { case (a, e) => toAggColumn(e).as(s"__a_$a") }
-        val grouped =
-          if (keys.isEmpty) df.agg(aggCols.head, aggCols.tail: _*)
-          else df.groupBy(keys.map { case (a, e) => toColumn(e).as(s"__k_$a") }: _*)
-                 .agg(aggCols.head, aggCols.tail: _*)
-        val ordered = fields.map { case (a, _) =>
-          val src = if (aggs.exists(_._1 == a)) s"__a_$a" else s"__k_$a"
-          col(src).as(a)
-        }
-        df = grouped.select(struct(ordered: _*).as(as))
+        val aggCols = aggs.map { case (a, e) => toAggColumn(e).as(stateName(as, a)) }
+        df = df.groupBy(keys.map { case (a, e) => toColumn(e).as(stateName(as, a)) }: _*)
+          .agg(aggCols.head, aggCols.tail: _*)
+          .select(fields.map { case (a, _) => stateColumn(as, a) }: _*)
+        vars = Map(as -> fields.map(_._1))
 
       case WithOrder(_, key, desc) =>
-        df = df.orderBy(if (desc) toColumn(key).desc else toColumn(key).asc)
+        // Pandas' na_position='last' both ways (Neo4j, too, sorts nulls last ascending)
+        df = df.orderBy(if (desc) toColumn(key).desc_nulls_last else toColumn(key).asc_nulls_last)
 
-      case WithVars(_) => // both variables already present as struct columns
+      case WithVars(vs) =>
+        vs.foreach(v => require(vars.contains(v), s"unbound variable $v"))
+        vars = vars.filter { case (v, _) => vs.contains(v) }
 
       case ReturnCount(alias) =>
         df = df.agg(count(lit(1)).as(alias))
 
       case ReturnVar(v) =>
-        df = df.select(col(s"$v.*"))
+        require(vars.contains(v), s"unbound variable $v")
+        df = df.select(vars(v).map(a => stateColumn(v, a).as(a)): _*)
 
       case LimitClause(n) =>
         df = df.limit(n)

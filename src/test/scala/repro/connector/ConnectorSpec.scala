@@ -117,4 +117,23 @@ class ConnectorSpec extends SparkSpec {
       }
     } finally duck.close()
   }
+
+  test("DuckDbConnector loads a date column as DATE, nulls included, equal to Spark") {
+    import spark.implicits._
+    val dated = Seq[(Long, String)]((1L, "2021-01-31"), (2L, null), (3L, "1999-12-31"), (4L, "2021-02-01"))
+      .toDF("k", "s").selectExpr("k", "CAST(s AS DATE) AS d")
+    val duck = new DuckDbConnector()
+    try {
+      duck.initialize("Dt", "dated", dated)
+      assert(duck.execute("SELECT DISTINCT typeof(d) AS t FROM Dt.dated", "dated").scalar == "DATE")
+      val sparkConn = new SparkSqlConnector(spark)
+      sparkConn.initialize("Dt", "dated", dated)
+      val Seq(onDuck, onSpark) =
+        Seq(duck, sparkConn).map(c => PolyFrame(c, "Dt", "dated", Seq("k", "d")).collectAll())
+      assert(onDuck.canonicalRows == onSpark.canonicalRows)
+      val d = onDuck.columns.indexOf("d")
+      assert(onDuck.rows.map(r => Option(r(d)).map(_.toString)).toSet ==
+        Set(Some("2021-01-31"), None, Some("1999-12-31"), Some("2021-02-01")))
+    } finally duck.close()
+  }
 }

@@ -32,7 +32,8 @@ class MiniCypherSpec extends SparkSpec {
     assert(cs(2).isInstanceOf[WithWhere])
     assert(cs(3).isInstanceOf[WithGroup])
     assert(cs(4) == WithOrder("t", CypherExpr.Ref("t", "unique1"), desc = true))
-    assert(cs(5) == MatchJoin("r", "wisconsin2", "t.unique1 = r.unique1"))
+    assert(cs(5) == MatchJoin("r", "wisconsin2",
+      CypherExpr.Bin("=", CypherExpr.Ref("t", "unique1"), CypherExpr.Ref("r", "unique1"))))
     assert(cs(6) == WithVars(Seq("t", "r")))
     assert(cs(7) == ReturnCount("t"))
     assert(cs(8) == ReturnVar("t"))
@@ -163,5 +164,12 @@ class MiniCypherSpec extends SparkSpec {
 
   test("unparseable clause raises CypherError") {
     intercept[CypherError](parseClauses("FROBNICATE x"))
+  }
+
+  test("a malformed join predicate raises at parse time") {
+    intercept[CypherExpr.CypherParseError](parseClauses(
+      """MATCH(t: data)
+        |MATCH(r: wisconsin2) WHERE t.unique1 = = r.unique1
+        |WITH t, r""".stripMargin))
   }
 }
