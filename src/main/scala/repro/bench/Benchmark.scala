@@ -45,8 +45,7 @@ object Benchmark {
     * initialized with collections `collection` and `rightCollection`.
     */
   final class PolyFrameTarget(connector: DatabaseConnector, namespace: String,
-                              collection: String, rightCollection: String,
-                              skipExprs: Set[Int] = Set.empty) extends Target {
+                              collection: String, rightCollection: String) extends Target {
     override def name: String = connector.name
     private var df: PolyFrame  = _
     private var df2: PolyFrame = _
@@ -56,24 +55,21 @@ object Benchmark {
       df2 = PolyFrame(connector, namespace, rightCollection, WisconsinData.columns)
     }
 
-    override def runExpr(i: Int): Any = {
-      require(!skipExprs.contains(i), s"expression $i not supported on $name")
-      i match {
-        case 1  => df.count()
-        case 2  => df.select("two", "four").head(5).size
-        case 3  => df.filter(col("ten") === X3 && col("twentyPercent") === Y3 && col("two") === Z3).count()
-        case 4  => df.groupBy("oddOnePercent").agg("count").collectAll().size
-        case 5  => df("stringu1").map("upper").head(5).size
-        case 6  => df("unique1").max()
-        case 7  => df("unique1").min()
-        case 8  => df.groupBy("twenty").agg("max", "four").collectAll().size
-        case 9  => df.sortValues("unique1", ascending = false).head(5).size
-        case 10 => df.filter(col("ten") === X10).head(5).size
-        case 11 => df.filter(col("onePercent") >= X11 && col("onePercent") <= Y11).count()
-        case 12 => df.join(df2, "unique1", "unique1").count()
-        case 13 => df.filter(col("tenPercent").isna).count()
-        case _  => throw new IllegalArgumentException(s"no expression $i")
-      }
+    override def runExpr(i: Int): Any = i match {
+      case 1  => df.count()
+      case 2  => df.select("two", "four").head(5).size
+      case 3  => df.filter(col("ten") === X3 && col("twentyPercent") === Y3 && col("two") === Z3).count()
+      case 4  => df.groupBy("oddOnePercent").agg("count").collectAll().size
+      case 5  => df("stringu1").map("upper").head(5).size
+      case 6  => df("unique1").max()
+      case 7  => df("unique1").min()
+      case 8  => df.groupBy("twenty").agg("max", "four").collectAll().size
+      case 9  => df.sortValues("unique1", ascending = false).head(5).size
+      case 10 => df.filter(col("ten") === X10).head(5).size
+      case 11 => df.filter(col("onePercent") >= X11 && col("onePercent") <= Y11).count()
+      case 12 => df.join(df2, "unique1", "unique1").count()
+      case 13 => df.filter(col("tenPercent").isna).count()
+      case _  => throw new IllegalArgumentException(s"no expression $i")
     }
   }
 
@@ -198,12 +194,8 @@ object Benchmark {
     * DuckDB, MiniMongo and MiniCypher. Returns (targets, cleanup).
     */
   def singleNodeTargets(spark: SparkSession, n: Long, tmpDir: Path,
-                        budget: MemoryBudget,
-                        cacheSparkInput: Boolean = true): (Seq[Target], () => Unit) = {
-    val data = {
-      val d = WisconsinData.generate(spark, n)
-      if (cacheSparkInput) d.cache() else d
-    }
+                        budget: MemoryBudget): (Seq[Target], () => Unit) = {
+    val data = WisconsinData.generate(spark, n).cache()
     data.count() // materialize: the data "already lives in the database"
 
     val jsonPath = tmpDir.resolve(s"wisconsin_$n.json")

@@ -139,8 +139,10 @@ final class MongoConnector(val spark: SparkSession,
 
   override def preProcess(query: String, baseCollection: String): String = s"[ $query ]"
 
-  override def plan(shipped: String, baseCollection: String): DataFrame =
-    MiniMongo.run(collections(baseCollection), Json.parse(shipped).asInstanceOf[JArr], collections(_))
+  override def plan(shipped: String, baseCollection: String): DataFrame = Json.parse(shipped) match {
+    case pipeline: JArr => MiniMongo.run(collections(baseCollection), pipeline, collections(_))
+    case _ => throw MiniMongo.MongoError(s"a pipeline must be a JSON array: $shipped")
+  }
 
   /** Strip MongoDB's internal `_id` if a pipeline ever leaks it. */
   override def postProcess(result: LocalResult): LocalResult = {

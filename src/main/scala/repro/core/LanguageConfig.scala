@@ -89,33 +89,21 @@ object LanguageConfig {
       lang.sub("ATTRIBUTES", "single_attribute", "attribute" -> name)
     case PFExpr.Lit(v) => literal(v, lang)
     case PFExpr.Cmp(op, l, r) =>
-      lang.sub("COMPARISON STATEMENTS", op, "left" -> operand(l, lang), "right" -> operand(r, lang))
+      lang.sub("COMPARISON STATEMENTS", op, "left" -> translate(l, lang), "right" -> translate(r, lang))
     case PFExpr.Arith(op, l, r) =>
-      lang.sub("ARITHMETIC STATEMENTS", op, "left" -> operand(l, lang), "right" -> operand(r, lang))
+      lang.sub("ARITHMETIC STATEMENTS", op, "left" -> translate(l, lang), "right" -> translate(r, lang))
     case PFExpr.Logical(op, l, r) =>
       lang.sub("LOGICAL STATEMENTS", op, "left" -> translate(l, lang), "right" -> translate(r, lang))
     case PFExpr.Not(x) =>
       lang.sub("LOGICAL STATEMENTS", "not", "left" -> translate(x, lang))
     case PFExpr.IsNa(x) =>
-      lang.sub("COMPARISON STATEMENTS", "isna", "left" -> operand(x, lang))
+      lang.sub("COMPARISON STATEMENTS", "isna", "left" -> translate(x, lang))
     case PFExpr.Func(fn, x) =>
       val section =
         if (lang.has("STRING FUNCTIONS", fn)) "STRING FUNCTIONS"
         else if (lang.has("TYPE CONVERSION", fn)) "TYPE CONVERSION"
         else "FUNCTIONS"
-      lang.sub(section, fn, "statement" -> operand(x, lang))
-  }
-
-  /** Operand rendering. Comparison/arithmetic templates in field-path
-    * languages (MongoDB) expect the *bare attribute name* on the left —
-    * the template itself adds the `$` prefix (`"$eq": ["$$left", $right]`)
-    * — while expression-language targets (SQL/Cypher) take the rendered
-    * reference. `operand_is_bare_attribute = true` in [ATTRIBUTES] selects
-    * the former.
-    */
-  private def operand(e: PFExpr, lang: LanguageConfig): String = e match {
-    case PFExpr.Attr(name) if lang.get("ATTRIBUTES", "operand_is_bare_attribute").contains("true") => name
-    case other => translate(other, lang)
+      lang.sub(section, fn, "statement" -> translate(x, lang))
   }
 
   private def literal(v: Any, lang: LanguageConfig): String = v match {

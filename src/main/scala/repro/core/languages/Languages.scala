@@ -52,12 +52,12 @@ object Languages {
       |
       |[LOGICAL STATEMENTS]
       |and = $left AND $right
-      |or = $left OR $right
-      |not = NOT $left
+      |or = ($left OR $right)
+      |not = NOT ($left)
       |
       |[COMPARISON STATEMENTS]
       |eq = $left = $right
-      |ne = $left != $right
+      |ne = ($left != $right OR $left IS UNKNOWN)
       |gt = $left > $right
       |lt = $left < $right
       |ge = $left >= $right
@@ -122,12 +122,12 @@ object Languages {
       |
       |[LOGICAL STATEMENTS]
       |and = $left AND $right
-      |or = $left OR $right
-      |not = NOT $left
+      |or = ($left OR $right)
+      |not = NOT ($left)
       |
       |[COMPARISON STATEMENTS]
       |eq = $left = $right
-      |ne = $left != $right
+      |ne = ($left != $right OR $left IS NULL)
       |gt = $left > $right
       |lt = $left < $right
       |ge = $left >= $right
@@ -197,10 +197,9 @@ object Languages {
       |""".stripMargin).sections)
 
   /** MongoDB aggregation-pipeline stages (comma-separated; the connector
-    * wraps them in `aggregate([...])`). `operand_is_bare_attribute` makes
-    * comparison/arithmetic operands render as bare attribute names — the
-    * templates add MongoDB's `$`-prefix themselves, exactly as in the
-    * paper's configuration (Appendix C).
+    * wraps them in `aggregate([...])`). Every expression rule renders a
+    * whole JSON value (an attribute is its field path `"$attribute"`), so
+    * expressions nest like the SQL ones: `upper(lower(s))`, `(a + 1) == 3`.
     */
   val mongo: LanguageConfig = LanguageConfig("mongo",
     """[QUERIES]
@@ -208,9 +207,9 @@ object Languages {
       |q_project = $subquery,
       | { "$project": { $attrs } }
       |q_project_value = $subquery,
-      | { "$project": { "$alias": { $statement } } }
+      | { "$project": { "$alias": $statement } }
       |q_filter = $subquery,
-      | { "$match": { "$expr": { $condition } } }
+      | { "$match": { "$expr": $condition } }
       |q_groupby = $subquery,
       | { "$group": { "_id": { $id_fields }, $aggs } },
       | { "$addFields": { $restore_fields } },
@@ -227,10 +226,9 @@ object Languages {
       | { "$count": "count" }
       |
       |[ATTRIBUTES]
-      |operand_is_bare_attribute = true
       |single_attribute = "$$attribute"
       |project_attribute = "$attribute": 1
-      |attribute_alias = "$alias": { $statement }
+      |attribute_alias = "$alias": $statement
       |agg_alias = "$alias": { $agg }
       |sort_asc_attr = "$attribute": 1
       |sort_desc_attr = "$attribute": -1
@@ -241,33 +239,33 @@ object Languages {
       |restore_field = "$attribute": "$_id.$attribute"
       |
       |[ARITHMETIC STATEMENTS]
-      |add = "$add": [ "$$left", $right ]
-      |sub = "$subtract": [ "$$left", $right ]
-      |mul = "$multiply": [ "$$left", $right ]
-      |div = "$divide": [ "$$left", $right ]
-      |mod = "$mod": [ "$$left", $right ]
+      |add = { "$add": [ $left, $right ] }
+      |sub = { "$subtract": [ $left, $right ] }
+      |mul = { "$multiply": [ $left, $right ] }
+      |div = { "$divide": [ $left, $right ] }
+      |mod = { "$mod": [ $left, $right ] }
       |
       |[LOGICAL STATEMENTS]
-      |and = "$and": [ { $left }, { $right } ]
-      |or = "$or": [ { $left }, { $right } ]
-      |not = "$not": [ { $left } ]
+      |and = { "$and": [ $left, $right ] }
+      |or = { "$or": [ $left, $right ] }
+      |not = { "$not": [ $left ] }
       |
       |[COMPARISON STATEMENTS]
-      |eq = "$eq": [ "$$left", $right ]
-      |ne = "$ne": [ "$$left", $right ]
-      |gt = "$gt": [ "$$left", $right ]
-      |lt = "$lt": [ "$$left", $right ]
-      |ge = "$gte": [ "$$left", $right ]
-      |le = "$lte": [ "$$left", $right ]
-      |isna = "$lt": [ "$$left", null ]
+      |eq = { "$eq": [ $left, $right ] }
+      |ne = { "$ne": [ $left, $right ] }
+      |gt = { "$gt": [ $left, $right ] }
+      |lt = { "$lt": [ $left, $right ] }
+      |ge = { "$gte": [ $left, $right ] }
+      |le = { "$lte": [ $left, $right ] }
+      |isna = { "$lt": [ $left, null ] }
       |
       |[TYPE CONVERSION]
-      |to_int = "$toInt": { $statement }
-      |to_str = "$toString": { $statement }
+      |to_int = { "$toInt": $statement }
+      |to_str = { "$toString": $statement }
       |
       |[STRING FUNCTIONS]
-      |upper = "$toUpper": "$$statement"
-      |lower = "$toLower": "$$statement"
+      |upper = { "$toUpper": $statement }
+      |lower = { "$toLower": $statement }
       |
       |[LITERALS]
       |string = "$value"
@@ -330,12 +328,12 @@ object Languages {
       |
       |[LOGICAL STATEMENTS]
       |and = $left AND $right
-      |or = $left OR $right
-      |not = NOT $left
+      |or = ($left OR $right)
+      |not = NOT ($left)
       |
       |[COMPARISON STATEMENTS]
       |eq = $left = $right
-      |ne = $left <> $right
+      |ne = ($left <> $right OR $left IS NULL)
       |gt = $left > $right
       |lt = $left < $right
       |ge = $left >= $right

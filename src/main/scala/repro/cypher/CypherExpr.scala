@@ -30,11 +30,6 @@ object CypherExpr {
 
   val aggregateFns: Set[String] = Set("min", "max", "avg", "sum", "count", "stdevp")
 
-  def isAggregate(a: Ast): Boolean = a match {
-    case Call(fn, _) => aggregateFns.contains(fn.toLowerCase)
-    case _           => false
-  }
-
   /** Does the expression contain an aggregate call anywhere? */
   def containsAggregate(a: Ast): Boolean = a match {
     case Call(fn, args) => aggregateFns.contains(fn.toLowerCase) || args.exists(containsAggregate)
@@ -106,6 +101,8 @@ object CypherExpr {
     }
     def expectOp(op: String): Unit =
       if (!accept(op)) throw CypherParseError(s"expected '$op', found $toks")
+    def expectKw(kw: String): Unit =
+      if (!acceptKw(kw)) throw CypherParseError(s"expected $kw, found $toks")
 
     def parseExpr(): Ast = parseOr()
 

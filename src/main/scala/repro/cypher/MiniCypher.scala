@@ -20,7 +20,8 @@ import CypherExpr._
   * `WITH t{…}` clauses grew the expression trees multiplicatively before
   * they were simplified (up to seconds of optimizer time per action).
   *
-  * Clauses (one per line, as the rewrite templates emit them):
+  * Clauses, read from the one token stream `CypherExpr.tokenize` makes of
+  * the query (a string literal may span lines):
   * {{{
   * MATCH(t: label)                      scan
   * MATCH(r: label) WHERE t.a = r.b     join with the current state
@@ -50,69 +51,63 @@ object MiniCypher {
   final case class ReturnVar(variable: String)                                   extends Clause
   final case class LimitClause(n: Int)                                           extends Clause
 
-  private val matchRe     = """(?i)^MATCH\s*\(\s*(\w+)\s*:\s*(\w+)\s*\)\s*$""".r
-  private val matchJoinRe = """(?i)^MATCH\s*\(\s*(\w+)\s*:\s*(\w+)\s*\)\s+WHERE\s+(.+)$""".r
-  private val withProjRe  = """(?i)^WITH\s+(\w+)\s*\{(.*)\}\s*$""".r
-  private val withWhereRe = """(?i)^WITH\s+(\w+)\s+WHERE\s+(.+)$""".r
-  private val withGroupRe = """(?i)^WITH\s*\{(.*)\}\s*AS\s+(\w+)\s*$""".r
-  private val withOrderRe = """(?i)^WITH\s+(\w+)\s+ORDER\s+BY\s+(.+?)(\s+DESC)?\s*$""".r
-  private val withVarsRe  = """(?i)^WITH\s+(\w+(?:\s*,\s*\w+)+)\s*$""".r
-  private val retCountRe  = """(?i)^RETURN\s+COUNT\(\*\)\s+AS\s+(\w+)\s*$""".r
-  private val retVarRe    = """(?i)^RETURN\s+(\w+)\s*$""".r
-  private val limitRe     = """(?i)^LIMIT\s+(\d+)\s*$""".r
-
-  /** Split `'alias': expr, 'alias2': expr2` on top-level commas. */
-  private[cypher] def splitFields(s: String): Seq[(String, Ast)] = {
-    val parts = List.newBuilder[String]
-    var depth = 0; var inStr = false; var strCh = ' '
-    val cur = new StringBuilder
-    s.foreach { c =>
-      if (inStr) { cur.append(c); if (c == strCh) inStr = false }
-      else c match {
-        case '\'' | '"' | '`' => inStr = true; strCh = c; cur.append(c)
-        case '(' | '{' | '[' => depth += 1; cur.append(c)
-        case ')' | '}' | ']' => depth -= 1; cur.append(c)
-        case ',' if depth == 0 => parts += cur.toString; cur.clear()
-        case _ => cur.append(c)
-      }
-    }
-    if (cur.toString.trim.nonEmpty) parts += cur.toString
-    parts.result().map { part =>
-      val idx = {
-        // alias separator = first ':' outside any quoting
-        var i = 0; var in = false; var ch = ' '; var found = -1
-        while (i < part.length && found < 0) {
-          val c = part(i)
-          if (in) { if (c == ch) in = false }
-          else if (c == '\'' || c == '"' || c == '`') { in = true; ch = c }
-          else if (c == ':') found = i
-          i += 1
-        }
-        if (found < 0) throw CypherError(s"field without alias: '$part'")
-        found
-      }
-      val rawAlias = part.substring(0, idx).trim
-      val alias = rawAlias.stripPrefix("'").stripSuffix("'")
-        .stripPrefix("\"").stripSuffix("\"")
-        .stripPrefix("`").stripSuffix("`")
-      alias -> CypherExpr.parse(part.substring(idx + 1).trim)
-    }
+  /** Read the clauses from one token stream; line breaks carry no meaning. */
+  def parseClauses(query: String): Seq[Clause] = {
+    val p = new Parser(tokenize(query))
+    val clauses = Vector.newBuilder[Clause]
+    while (p.peek.nonEmpty) clauses += clause(p)
+    clauses.result()
   }
 
-  def parseClauses(query: String): Seq[Clause] =
-    query.linesIterator.map(_.trim).filter(_.nonEmpty).map {
-      case matchRe(v, label)            => MatchScan(v, label)
-      case matchJoinRe(v, label, pred)  => MatchJoin(v, label, CypherExpr.parse(pred))
-      case withWhereRe(v, pred)         => WithWhere(v, CypherExpr.parse(pred))
-      case withOrderRe(v, key, desc)    => WithOrder(v, CypherExpr.parse(key), desc != null)
-      case withGroupRe(fields, as)      => WithGroup(splitFields(fields), as)
-      case withProjRe(v, fields)        => WithProjection(v, splitFields(fields))
-      case withVarsRe(vars)             => WithVars(vars.split(",").map(_.trim).toSeq)
-      case retCountRe(alias)            => ReturnCount(alias)
-      case retVarRe(v)                  => ReturnVar(v)
-      case limitRe(n)                   => LimitClause(n.toInt)
-      case other                         => throw CypherError(s"unparseable clause: '$other'")
-    }.toSeq
+  private def clause(p: Parser): Clause =
+    if (p.acceptKw("MATCH")) {
+      p.expectOp("("); val v = ident(p); p.expectOp(":"); val label = ident(p); p.expectOp(")")
+      if (p.acceptKw("WHERE")) MatchJoin(v, label, p.parseExpr()) else MatchScan(v, label)
+    } else if (p.acceptKw("WITH")) {
+      if (p.accept("{")) {
+        val fs = fields(p); p.expectKw("AS"); WithGroup(fs, ident(p))
+      } else {
+        val v = ident(p)
+        if (p.accept("{")) WithProjection(v, fields(p))
+        else if (p.acceptKw("WHERE")) WithWhere(v, p.parseExpr())
+        else if (p.acceptKw("ORDER")) {
+          p.expectKw("BY"); val key = p.parseExpr(); WithOrder(v, key, p.acceptKw("DESC"))
+        } else {
+          val vs = Vector.newBuilder[String] += v
+          while (p.accept(",")) vs += ident(p)
+          WithVars(vs.result())
+        }
+      }
+    } else if (p.acceptKw("RETURN")) {
+      if (p.acceptKw("COUNT")) {
+        p.expectOp("("); p.expectOp("*"); p.expectOp(")"); p.expectKw("AS"); ReturnCount(ident(p))
+      } else ReturnVar(ident(p))
+    } else if (p.acceptKw("LIMIT")) p.next() match {
+      case TNum(n) => LimitClause(n.toInt)
+      case t       => throw CypherError(s"LIMIT needs a number, found $t")
+    } else throw CypherError(s"unparseable clause at ${p.toks.take(8).mkString(" ")}")
+
+  private def ident(p: Parser): String = p.next() match {
+    case TId(s) => s
+    case t      => throw CypherError(s"expected a name, found $t")
+  }
+
+  /** The entries of a `{'alias': expr, ...}` map, up to its closing brace. */
+  private def fields(p: Parser): Seq[(String, Ast)] = {
+    def field(): (String, Ast) = {
+      val alias = p.next() match {
+        case TStr(s) => s
+        case TId(s)  => s
+        case t       => throw CypherError(s"expected an alias, found $t")
+      }
+      p.expectOp(":")
+      alias -> p.parseExpr()
+    }
+    val fs = Vector.newBuilder[(String, Ast)] += field()
+    while (p.accept(",")) fs += field()
+    p.expectOp("}")
+    fs.result()
+  }
 
   /** A collection's columns as the state columns of variable `v`. */
   private def bind(collection: DataFrame, v: String): DataFrame =

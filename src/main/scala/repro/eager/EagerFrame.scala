@@ -3,7 +3,9 @@ package repro.eager
 import java.nio.file.{Files, Path}
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
-import repro.util._
+import org.json4s._
+import org.json4s.jackson.JsonMethods.compact
+import repro.util.Json
 
 /** Raised when an eager operation would exceed the configured memory
   * budget — the analogue of Pandas' out-of-memory failures on the M/L/XL
@@ -88,7 +90,6 @@ final class EagerFrame(
   }
 
   def maskEq(c: String, v: Any): EagerMask = mask(c)(x => x != null && valueEq(x, v))
-  def maskNe(c: String, v: Any): EagerMask = mask(c)(x => x != null && !valueEq(x, v))
   def maskGe(c: String, v: Double): EagerMask = mask(c)(x => x != null && toD(x) >= v)
   def maskLe(c: String, v: Double): EagerMask = mask(c)(x => x != null && toD(x) <= v)
   def maskIsNa(c: String): EagerMask = mask(c)(_ == null)
@@ -201,24 +202,28 @@ object EagerFrame {
     */
   def readJsonLines(path: Path, budget: MemoryBudget): EagerFrame = {
     val colIndex = mutable.LinkedHashMap.empty[String, Int]
-    val parsed   = mutable.ArrayBuffer.empty[JObj]
+    val parsed   = mutable.ArrayBuffer.empty[List[JField]]
     Files.lines(path).iterator().asScala.foreach { line =>
       if (line.trim.nonEmpty) {
-        val obj = Json.parse(line).asInstanceOf[JObj]
-        obj.fields.keys.foreach(k => if (!colIndex.contains(k)) colIndex(k) = colIndex.size)
-        parsed += obj
+        val fields = Json.parse(line) match {
+          case JObject(fs) => fs
+          case other       => throw new IllegalArgumentException(s"not a JSON object: ${compact(other)}")
+        }
+        fields.foreach { case (k, _) => if (!colIndex.contains(k)) colIndex(k) = colIndex.size }
+        parsed += fields
       }
     }
     val cols = colIndex.keys.toVector
-    val rows = parsed.map { obj =>
+    val rows = parsed.map { fields =>
       val arr = new Array[Any](cols.size)
-      obj.fields.foreach { case (k, v) =>
+      fields.foreach { case (k, v) =>
         arr(colIndex(k)) = v match {
-          case JNull    => null
-          case JBool(b) => b
-          case JNum(d)  => if (d.isWhole && math.abs(d) < 1e15) d.toLong else d
-          case JStr(s)  => s
-          case other    => other.render
+          case JNull      => null
+          case JBool(b)   => b
+          case JLong(n)   => n
+          case JDouble(d) => d
+          case JString(s) => s
+          case other      => compact(other)
         }
       }
       arr

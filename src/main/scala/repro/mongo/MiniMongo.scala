@@ -2,7 +2,9 @@ package repro.mongo
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.util._
+import org.json4s._
+import org.json4s.jackson.JsonMethods.compact
+import repro.util.JArr
 
 /** MiniMongo: an interpreter for the MongoDB aggregation-pipeline subset
   * that PolyFrame's Mongo rewrite rules emit, executing on Spark
@@ -29,93 +31,103 @@ object MiniMongo {
     * `collections` resolves `$lookup.from` references.
     */
   def run(base: DataFrame, pipeline: JArr, collections: String => DataFrame): DataFrame =
-    pipeline.xs.foldLeft(base)((df, stage) => applyStage(df, stageObj(stage), collections))
+    pipeline.arr.foldLeft(base)((df, stage) => applyStage(df, stageObj(stage), collections))
+
+  /** A JSON number's value (`Json.parse` reads integers as `JLong`). */
+  private object Num {
+    def unapply(j: JValue): Option[Double] = j match {
+      case JLong(n)   => Some(n.toDouble)
+      case JDouble(d) => Some(d)
+      case _          => None
+    }
+  }
+
+  private def str(j: JValue): String = j match {
+    case JString(s) => s
+    case other      => throw MongoError(s"expected a string: ${compact(other)}")
+  }
 
   private def stageObj(j: JValue): (String, JValue) = j match {
-    case JObj(fields) if fields.size == 1 => fields.head
-    case other => throw MongoError(s"stage must be a single-key object: ${other.render}")
+    case JObject(List(stage)) => stage
+    case other => throw MongoError(s"stage must be a single-key object: ${compact(other)}")
   }
 
   private def applyStage(df: DataFrame, stage: (String, JValue),
                          collections: String => DataFrame): DataFrame = stage match {
-    case ("$match", JObj(fields)) if fields.isEmpty => df
-    case ("$match", o: JObj) =>
-      o.get("$expr") match {
-        case Some(e) => df.filter(expr(e))
-        case None    =>
+    case ("$match", JObject(Nil)) => df
+    case ("$match", o: JObject) =>
+      o \ "$expr" match {
+        case JNothing =>
           // simple equality document: { field: value, ... }
-          val conds = o.fields.map { case (f, v) => col(f) === litOf(v) }
-          df.filter(conds.reduce(_ && _))
+          df.filter(o.obj.map { case (f, v) => col(f) === litOf(v) }.reduce(_ && _))
+        case e => df.filter(expr(e))
       }
 
-    case ("$project", JObj(fields)) =>
-      val includes = fields.collect { case (k, JNum(n)) if n == 1 => k }.toSeq
-      val computed = fields.collect { case (k, o: JObj) => k -> o }.toSeq
-      val excludes = fields.collect { case (k, JNum(n)) if n == 0 => k }.toSeq
-      if (includes.nonEmpty || computed.nonEmpty)
-        df.select(includes.map(col) ++ computed.map { case (k, o) => expr(o).as(k) }: _*)
-      else
-        df.drop(excludes.filter(df.columns.contains): _*)
+    case ("$project", JObject(fields)) =>
+      val kept = fields.filter { case (_, Num(0.0)) => false; case _ => true }
+      if (kept.isEmpty) df.drop(fields.map(_._1).filter(df.columns.contains): _*)
+      else df.select(kept.map {
+        case (k, Num(1.0)) => col(k)
+        case (k, v)        => expr(v).as(k)
+      }: _*)
 
-    case ("$addFields", JObj(fields)) =>
+    case ("$addFields", JObject(fields)) =>
       fields.foldLeft(df) { case (d, (k, v)) => d.withColumn(k, expr(v)) }
 
-    case ("$group", JObj(fields)) =>
-      val idSpec = fields.getOrElse("_id", throw MongoError("$group requires _id"))
-      val accs = fields.toSeq.collect {
-        case (alias, spec: JObj) if alias != "_id" => accumulator(spec).as(alias)
+    case ("$group", o @ JObject(fields)) =>
+      val accs = fields.collect {
+        case (alias, spec: JObject) if alias != "_id" => accumulator(spec).as(alias)
       }
       if (accs.isEmpty) throw MongoError("$group requires at least one accumulator")
-      idSpec match {
-        case JObj(kf) if kf.isEmpty =>
+      o \ "_id" match {
+        case JObject(Nil) =>
           df.agg(accs.head, accs.tail: _*).withColumn("_id", lit(null))
-        case JObj(kf) =>
-          val idStruct = struct(kf.toSeq.map { case (k, v) => expr(v).as(k) }: _*).as("_id")
+        case JObject(kf) =>
+          val idStruct = struct(kf.map { case (k, v) => expr(v).as(k) }: _*).as("_id")
           df.groupBy(idStruct).agg(accs.head, accs.tail: _*)
-        case other => throw MongoError(s"unsupported _id: ${other.render}")
+        case JNothing => throw MongoError("$group requires _id")
+        case other    => throw MongoError(s"unsupported _id: ${compact(other)}")
       }
 
-    case ("$sort", JObj(fields)) =>
-      val orders = fields.toSeq.map {
-        case (f, JNum(n)) if n == -1 => col(f).desc
-        case (f, _)                  => col(f).asc
+    case ("$sort", JObject(fields)) =>
+      val orders = fields.map {
+        case (f, Num(-1.0)) => col(f).desc
+        case (f, _)         => col(f).asc
       }
       df.orderBy(orders: _*)
 
-    case ("$limit", JNum(n)) => df.limit(n.toInt)
+    case ("$limit", Num(n)) => df.limit(n.toInt)
 
-    case ("$count", JStr(name)) => df.agg(count(lit(1)).as(name))
+    case ("$count", JString(name)) => df.agg(count(lit(1)).as(name))
 
-    case ("$lookup", spec: JObj) => lookup(df, spec, collections)
+    case ("$lookup", spec: JObject) => lookup(df, spec, collections)
 
-    case ("$unwind", spec: JObj) =>
-      val path = spec("path") match {
-        case JStr(p) => p.stripPrefix("$")
-        case other   => throw MongoError(s"bad $$unwind path: ${other.render}")
-      }
-      val preserve = spec.get("preserveNullAndEmptyArrays").contains(JBool(true))
-      if (preserve) df.withColumn(path, explode_outer(col(path)))
+    case ("$unwind", spec: JObject) =>
+      val path = str(spec \ "path").stripPrefix("$")
+      if (spec \ "preserveNullAndEmptyArrays" == JBool(true)) df.withColumn(path, explode_outer(col(path)))
       else df.withColumn(path, explode(col(path)))
 
-    case (op, v) => throw MongoError(s"unsupported stage $op: ${v.render}")
+    case (op, v) => throw MongoError(s"unsupported stage $op: ${compact(v)}")
   }
 
   /** Correlated `$lookup`: stages of the sub-pipeline that reference a
     * `$$variable` become the equi-join condition; the remaining stages are
     * applied to the foreign collection first (as MongoDB would).
     */
-  private def lookup(left: DataFrame, spec: JObj,
+  private def lookup(left: DataFrame, spec: JObject,
                      collections: String => DataFrame): DataFrame = {
-    val from   = spec("from") match { case JStr(s) => s; case o => throw MongoError(o.render) }
-    val asName = spec("as")   match { case JStr(s) => s; case o => throw MongoError(o.render) }
-    val letVars: Map[String, String] = spec.get("let") match {
-      case Some(JObj(fs)) => fs.map { case (k, JStr(p)) => k -> p.stripPrefix("$"); case (k, o) => throw MongoError(s"bad let $k: ${o.render}") }.toMap
-      case _              => Map.empty
+    val from   = str(spec \ "from")
+    val asName = str(spec \ "as")
+    val letVars: Map[String, String] = spec \ "let" match {
+      case JObject(fs) => fs.map { case (k, v) => k -> str(v).stripPrefix("$") }.toMap
+      case _           => Map.empty
     }
-    val stages = spec.get("pipeline") match {
-      case Some(JArr(xs)) => xs
-      case _              => Vector.empty
+    val stages = spec \ "pipeline" match {
+      case JArray(xs) => xs
+      case _          => Nil
     }
+    def refersToVariable(e: JValue): Boolean =
+      e.find { case JString(s) => s.startsWith("$$"); case _ => false }.isDefined
 
     // Split sub-pipeline stages into variable-correlated join predicates vs.
     // plain stages applied to the foreign side.
@@ -123,19 +135,15 @@ object MiniMongo {
     var right    = collections(from)
     stages.foreach { s =>
       stageObj(s) match {
-        case ("$match", o: JObj) if o.get("$expr").exists(e => e.render.contains("$$")) =>
-          o("$expr") match {
-            case eq: JObj if eq.get("$eq").isDefined =>
-              eq("$eq") match {
-                case JArr(Vector(JStr(a), JStr(b))) =>
-                  val (varSide, fieldSide) =
-                    if (a.startsWith("$$")) (a, b) else (b, a)
-                  val leftField = letVars.getOrElse(varSide.stripPrefix("$$"),
-                    throw MongoError(s"unknown $$-variable $varSide"))
-                  joinKeys ::= (fieldSide.stripPrefix("$"), leftField)
-                case other => throw MongoError(s"unsupported correlated $$eq: ${other.render}")
-              }
-            case other => throw MongoError(s"unsupported correlated $$expr: ${other.render}")
+        case ("$match", o: JObject) if refersToVariable(o \ "$expr") =>
+          o \ "$expr" \ "$eq" match {
+            case JArray(List(JString(a), JString(b))) =>
+              val (varSide, fieldSide) =
+                if (a.startsWith("$$")) (a, b) else (b, a)
+              val leftField = letVars.getOrElse(varSide.stripPrefix("$$"),
+                throw MongoError(s"unknown $$-variable $varSide"))
+              joinKeys ::= (fieldSide.stripPrefix("$"), leftField)
+            case _ => throw MongoError(s"unsupported correlated $$expr: ${compact(o)}")
           }
         case st => right = applyStage(right, st, collections)
       }
@@ -151,24 +159,26 @@ object MiniMongo {
   }
 
   private def litOf(j: JValue): Column = j match {
-    case JNull    => lit(null)
-    case JBool(b) => lit(b)
-    case JStr(s)  => lit(s)
-    case JNum(d)  => if (d.isWhole && math.abs(d) < 1e15) lit(d.toLong) else lit(d)
-    case other    => throw MongoError(s"not a literal: ${other.render}")
+    case JNull      => lit(null)
+    case JBool(b)   => lit(b)
+    case JString(s) => lit(s)
+    case Num(d)     => if (d.isWhole && math.abs(d) < 1e15) lit(d.toLong) else lit(d)
+    case other      => throw MongoError(s"not a literal: ${compact(other)}")
   }
 
   /** Translate a MongoDB expression to a Spark Column. */
   def expr(j: JValue): Column = j match {
-    case JStr(s) if s.startsWith("$$") => throw MongoError(s"unbound variable $s")
-    case JStr(s) if s.startsWith("$")  => col(s.stripPrefix("$"))
-    case JStr(s)                        => lit(s)
-    case JNull | JBool(_) | JNum(_)     => litOf(j)
-    case JObj(fields) if fields.size == 1 =>
-      val (op, v) = fields.head
+    case JString(s) if s.startsWith("$$") => throw MongoError(s"unbound variable $s")
+    case JString(s) if s.startsWith("$")  => col(s.stripPrefix("$"))
+    case JString(_) | JNull | JBool(_) | Num(_) => litOf(j)
+    case JObject(List((op, v))) =>
       def pair: (JValue, JValue) = v match {
-        case JArr(Vector(a, b)) => (a, b)
-        case other => throw MongoError(s"$op expects a 2-array: ${other.render}")
+        case JArray(List(a, b)) => (a, b)
+        case other => throw MongoError(s"$op expects a 2-array: ${compact(other)}")
+      }
+      def all: List[Column] = v match {
+        case JArray(xs) => xs.map(expr)
+        case other      => throw MongoError(s"bad $op: ${compact(other)}")
       }
       op match {
         // MongoDB BSON-order idioms for missing data: `x < null` is true
@@ -176,23 +186,17 @@ object MiniMongo {
         case "$lt" if pair._2 == JNull => expr(pair._1).isNull
         case "$gt" if pair._2 == JNull => expr(pair._1).isNotNull
         case "$eq" if pair._2 == JNull => expr(pair._1).isNull
-        case "$ne" if pair._2 == JNull => expr(pair._1).isNotNull
         case "$eq"  => expr(pair._1) === expr(pair._2)
-        case "$ne"  => expr(pair._1) =!= expr(pair._2)
+        // as in MongoDB, a missing value is not equal to any value
+        case "$ne"  => !(expr(pair._1) <=> expr(pair._2))
         case "$gt"  => expr(pair._1) > expr(pair._2)
         case "$lt"  => expr(pair._1) < expr(pair._2)
         case "$gte" => expr(pair._1) >= expr(pair._2)
         case "$lte" => expr(pair._1) <= expr(pair._2)
-        case "$and" => v match {
-          case JArr(xs) => xs.map(expr).reduce(_ && _)
-          case o        => throw MongoError(s"bad $$and: ${o.render}")
-        }
-        case "$or" => v match {
-          case JArr(xs) => xs.map(expr).reduce(_ || _)
-          case o        => throw MongoError(s"bad $$or: ${o.render}")
-        }
+        case "$and" => all.reduce(_ && _)
+        case "$or"  => all.reduce(_ || _)
         case "$not" => v match {
-          case JArr(Vector(x)) => !expr(x)
+          case JArray(List(x)) => !expr(x)
           case x               => !expr(x)
         }
         case "$add"      => expr(pair._1) + expr(pair._2)
@@ -205,26 +209,26 @@ object MiniMongo {
         case "$toInt"    => expr(v).cast("int")
         case "$toString" => expr(v).cast("string")
         case "$cond" => v match {
-          case JArr(Vector(c, t, e)) => when(expr(c), expr(t)).otherwise(expr(e))
-          case o                     => throw MongoError(s"bad $$cond: ${o.render}")
+          case JArray(List(c, t, e)) => when(expr(c), expr(t)).otherwise(expr(e))
+          case o                     => throw MongoError(s"bad $$cond: ${compact(o)}")
         }
         case "$ifNull" => coalesce(expr(pair._1), expr(pair._2))
         case other => throw MongoError(s"unsupported operator $other")
       }
-    case other => throw MongoError(s"unsupported expression: ${other.render}")
+    case other => throw MongoError(s"unsupported expression: ${compact(other)}")
   }
 
   /** Accumulator expressions inside $group. */
-  private def accumulator(spec: JObj): Column = {
-    val (op, v) = spec.fields.head
+  private def accumulator(spec: JObject): Column = {
+    val (op, v) = spec.obj.head
     op match {
       case "$min" => min(expr(v))
       case "$max" => max(expr(v))
       case "$avg" => avg(expr(v))
       case "$stdDevPop" => stddev_pop(expr(v))
       case "$sum" => v match {
-        case JNum(n) => sum(lit(n.toLong))
-        case other   => sum(expr(other))
+        case Num(n) => sum(lit(n.toLong))
+        case other  => sum(expr(other))
       }
       case other => throw MongoError(s"unsupported accumulator $other")
     }

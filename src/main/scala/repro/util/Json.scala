@@ -1,190 +1,27 @@
 package repro.util
 
-import scala.collection.immutable.ListMap
+import com.fasterxml.jackson.core.json.JsonReadFeature
+import com.fasterxml.jackson.databind.DeserializationFeature
+import org.json4s.JValue
+import org.json4s.jackson.JsonMethods
 
-/** Minimal JSON AST + recursive-descent parser + printer.
+/** Strict JSON parsing into json4s's AST, the JSON library Spark ships.
+  * Used for the MongoDB aggregation pipelines that PolyFrame's Mongo
+  * rewrite rules emit and for the JSON-lines Wisconsin datasets of the
+  * eager Pandas baseline. Printing is json4s's `JsonMethods.compact`.
   *
-  * Built in-repo because the sealed image has no JSON library in compile
-  * scope; used for (a) parsing the MongoDB aggregation pipelines that
-  * PolyFrame's Mongo rewrite rules emit and (b) reading/writing the
-  * JSON-lines Wisconsin datasets consumed by the eager Pandas baseline.
-  *
-  * Object key order is preserved (ListMap) — pipeline stages like
-  * `{"$group": ...}` rely on the single-key shape, and golden tests
-  * compare printed output.
+  * Three settings differ from `JsonMethods.parse`: trailing content after
+  * the value is an error (Jackson ignores it by default); raw control
+  * characters inside strings are accepted, because the Mongo string
+  * literal rule (`"$value"`) does not escape them; and integers parse to
+  * `JLong`, not `JInt`'s `BigInt`. Other numbers parse to `JDouble`;
+  * object key order is kept.
   */
-sealed trait JValue {
-  /** Render compactly, with stable key order. */
-  def render: String = this match {
-    case JNull        => "null"
-    case JBool(b)     => b.toString
-    case JNum(d)      => if (d.isWhole && math.abs(d) < 1e15) d.toLong.toString else d.toString
-    case JStr(s)      => Json.quote(s)
-    case JArr(xs)     => xs.map(_.render).mkString("[", ",", "]")
-    case JObj(fields) => fields.map { case (k, v) => s"${Json.quote(k)}:${v.render}" }.mkString("{", ",", "}")
-  }
-}
-case object JNull                              extends JValue
-final case class JBool(b: Boolean)             extends JValue
-final case class JNum(d: Double)               extends JValue
-final case class JStr(s: String)               extends JValue
-final case class JArr(xs: Vector[JValue])      extends JValue
-final case class JObj(fields: ListMap[String, JValue]) extends JValue {
-  def apply(key: String): JValue = fields(key)
-  def get(key: String): Option[JValue] = fields.get(key)
-}
-
-object JObj {
-  def apply(fields: (String, JValue)*): JObj = JObj(ListMap(fields: _*))
-}
-object JArr {
-  def of(xs: JValue*): JArr = JArr(xs.toVector)
-}
-
-/** Parse errors carry the offset for debuggability in golden tests. */
-final case class JsonParseException(msg: String, offset: Int)
-  extends RuntimeException(s"$msg at offset $offset")
-
 object Json {
+  private val reader = JsonMethods.mapper.readerFor(classOf[JValue])
+    .`with`(DeserializationFeature.FAIL_ON_TRAILING_TOKENS)
+    .without(DeserializationFeature.USE_BIG_INTEGER_FOR_INTS)
+    .`with`(JsonReadFeature.ALLOW_UNESCAPED_CONTROL_CHARS)
 
-  def quote(s: String): String = {
-    val sb = new StringBuilder("\"")
-    s.foreach {
-      case '"'  => sb.append("\\\"")
-      case '\\' => sb.append("\\\\")
-      case '\n' => sb.append("\\n")
-      case '\r' => sb.append("\\r")
-      case '\t' => sb.append("\\t")
-      case c if c < ' ' => sb.append(f"\\u${c.toInt}%04x")
-      case c    => sb.append(c)
-    }
-    sb.append('"').toString
-  }
-
-  /** Parse a single JSON value; trailing non-whitespace is an error. */
-  def parse(input: String): JValue = {
-    val p = new Parser(input)
-    val v = p.parseValue()
-    p.skipWs()
-    if (!p.atEnd) throw JsonParseException(s"trailing content '${p.peekSnippet}'", p.pos)
-    v
-  }
-
-  /** Parse a value from the front of `input`; ignore what follows. */
-  def parsePrefix(input: String): (JValue, Int) = {
-    val p = new Parser(input)
-    val v = p.parseValue()
-    (v, p.pos)
-  }
-
-  private final class Parser(s: String) {
-    var pos = 0
-    def atEnd: Boolean = pos >= s.length
-    def peekSnippet: String = s.substring(pos, math.min(s.length, pos + 20))
-
-    def skipWs(): Unit =
-      while (pos < s.length && (s(pos) == ' ' || s(pos) == '\n' || s(pos) == '\t' || s(pos) == '\r'))
-        pos += 1
-
-    private def fail(msg: String): Nothing = throw JsonParseException(msg, pos)
-
-    private def expect(c: Char): Unit = {
-      if (atEnd || s(pos) != c) fail(s"expected '$c' but found '${if (atEnd) "<eof>" else s(pos).toString}'")
-      pos += 1
-    }
-
-    def parseValue(): JValue = {
-      skipWs()
-      if (atEnd) fail("unexpected end of input")
-      s(pos) match {
-        case '{' => parseObject()
-        case '[' => parseArray()
-        case '"' => JStr(parseString())
-        case 't' => literal("true", JBool(true))
-        case 'f' => literal("false", JBool(false))
-        case 'n' => literal("null", JNull)
-        case c if c == '-' || c.isDigit => parseNumber()
-        case c   => fail(s"unexpected character '$c'")
-      }
-    }
-
-    private def literal(text: String, v: JValue): JValue = {
-      if (!s.startsWith(text, pos)) fail(s"invalid literal, expected '$text'")
-      pos += text.length
-      v
-    }
-
-    private def parseNumber(): JValue = {
-      val start = pos
-      if (!atEnd && s(pos) == '-') pos += 1
-      while (!atEnd && (s(pos).isDigit || s(pos) == '.' || s(pos) == 'e' || s(pos) == 'E' || s(pos) == '+' || s(pos) == '-'))
-        pos += 1
-      val text = s.substring(start, pos)
-      try JNum(text.toDouble)
-      catch { case _: NumberFormatException => fail(s"invalid number '$text'") }
-    }
-
-    private def parseString(): String = {
-      expect('"')
-      val sb = new StringBuilder
-      while (!atEnd && s(pos) != '"') {
-        if (s(pos) == '\\') {
-          pos += 1
-          if (atEnd) fail("unterminated escape")
-          s(pos) match {
-            case '"'  => sb.append('"')
-            case '\\' => sb.append('\\')
-            case '/'  => sb.append('/')
-            case 'n'  => sb.append('\n')
-            case 'r'  => sb.append('\r')
-            case 't'  => sb.append('\t')
-            case 'b'  => sb.append('\b')
-            case 'f'  => sb.append('\f')
-            case 'u'  =>
-              if (pos + 4 >= s.length) fail("truncated \\u escape")
-              sb.append(Integer.parseInt(s.substring(pos + 1, pos + 5), 16).toChar)
-              pos += 4
-            case c    => fail(s"invalid escape '\\$c'")
-          }
-          pos += 1
-        } else {
-          sb.append(s(pos)); pos += 1
-        }
-      }
-      expect('"')
-      sb.toString
-    }
-
-    private def parseObject(): JObj = {
-      expect('{'); skipWs()
-      var fields = ListMap.empty[String, JValue]
-      if (!atEnd && s(pos) == '}') { pos += 1; return JObj(fields) }
-      var done = false
-      while (!done) {
-        skipWs()
-        val k = parseString()
-        skipWs(); expect(':')
-        val v = parseValue()
-        fields = fields.updated(k, v)
-        skipWs()
-        if (!atEnd && s(pos) == ',') pos += 1
-        else { expect('}'); done = true }
-      }
-      JObj(fields)
-    }
-
-    private def parseArray(): JArr = {
-      expect('['); skipWs()
-      if (!atEnd && s(pos) == ']') { pos += 1; return JArr(Vector.empty) }
-      val buf = Vector.newBuilder[JValue]
-      var done = false
-      while (!done) {
-        buf += parseValue()
-        skipWs()
-        if (!atEnd && s(pos) == ',') pos += 1
-        else { expect(']'); done = true }
-      }
-      JArr(buf.result())
-    }
-  }
+  def parse(input: String): JValue = reader.readValue[JValue](input)
 }

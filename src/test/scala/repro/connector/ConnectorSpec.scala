@@ -118,6 +118,25 @@ class ConnectorSpec extends SparkSpec {
     } finally duck.close()
   }
 
+  test("every connector filters on a string literal that contains a newline") {
+    import spark.implicits._
+    val lines = Seq[(Long, String)]((1L, "line1\nline2"), (2L, "line1"), (3L, null)).toDF("k", "s")
+    val duck = new DuckDbConnector()
+    try {
+      Seq(new SparkSqlConnector(spark), duck, new MongoConnector(spark), new CypherConnector(spark)).foreach { c =>
+        c.initialize("Nl", "lines", lines)
+        val pf = PolyFrame(c, "Nl", "lines", Seq("k", "s"))
+        assert(pf.filter(repro.core.dsl.col("s") === "line1\nline2").count() == 1L, c.name)
+      }
+    } finally duck.close()
+  }
+
+  test("MongoConnector raises MongoError when the shipped text is not a JSON array") {
+    val c = new MongoConnector(spark)
+    c.initialize("Bench", "m3", data)
+    intercept[repro.mongo.MiniMongo.MongoError](c.execute("""{ "$match": {} }""", "m3"))
+  }
+
   test("DuckDbConnector loads a date column as DATE, nulls included, equal to Spark") {
     import spark.implicits._
     val dated = Seq[(Long, String)]((1L, "2021-01-31"), (2L, null), (3L, "1999-12-31"), (4L, "2021-02-01"))

@@ -22,6 +22,7 @@ class ExprTranslationSpec extends AnyFunSuite {
     assert(translate(col("age"), sql)    == """t."age"""")
     assert(translate(col("age"), spark)  == "t.age")
     assert(translate(col("age"), cypher) == "t.age")
+    assert(translate(col("age"), mongo)  == """"$age"""")
   }
 
   test("equality comparison with string literal") {
@@ -29,17 +30,18 @@ class ExprTranslationSpec extends AnyFunSuite {
     assert(translate(e, sqlpp)  == """t.lang = "en"""")
     assert(translate(e, sql)    == """t."lang" = 'en'""")
     assert(translate(e, spark)  == "t.lang = 'en'")
-    assert(translate(e, mongo)  == """"$eq": [ "$lang", "en" ]""")
+    assert(translate(e, mongo)  == """{ "$eq": [ "$lang", "en" ] }""")
     assert(translate(e, cypher) == """t.lang = "en"""")
   }
 
   test("numeric comparisons") {
     assert(translate(col("ten") === 4, spark)  == "t.ten = 4")
-    assert(translate(col("ten") =!= 4, sql)    == """t."ten" != 4""")
-    assert(translate(col("ten") =!= 4, cypher) == "t.ten <> 4")
+    assert(translate(col("ten") =!= 4, sql)    == """(t."ten" != 4 OR t."ten" IS NULL)""")
+    assert(translate(col("ten") =!= 4, cypher) == "(t.ten <> 4 OR t.ten IS NULL)")
+    assert(translate(col("ten") =!= 4, sqlpp)  == "(t.ten != 4 OR t.ten IS UNKNOWN)")
     assert(translate(col("onePercent") >= 40, spark) == "t.onePercent >= 40")
-    assert(translate(col("onePercent") <= 60, mongo) == """"$lte": [ "$onePercent", 60 ]""")
-    assert(translate(col("x") > 1, mongo) == """"$gt": [ "$x", 1 ]""")
+    assert(translate(col("onePercent") <= 60, mongo) == """{ "$lte": [ "$onePercent", 60 ] }""")
+    assert(translate(col("x") > 1, mongo) == """{ "$gt": [ "$x", 1 ] }""")
     assert(translate(col("x") < 1, sqlpp) == "t.x < 1")
   }
 
@@ -48,23 +50,26 @@ class ExprTranslationSpec extends AnyFunSuite {
     assert(translate(e, spark)  == "t.ten = 4 AND t.two = 0")
     assert(translate(e, cypher) == "t.ten = 4 AND t.two = 0")
     assert(translate(e, mongo)
-      == """"$and": [ { "$eq": [ "$ten", 4 ] }, { "$eq": [ "$two", 0 ] } ]""")
+      == """{ "$and": [ { "$eq": [ "$ten", 4 ] }, { "$eq": [ "$two", 0 ] } ] }""")
   }
 
   test("three-way AND nests left (as Pandas & does)") {
     val e = (col("a") === 1) && (col("b") === 2) && (col("c") === 3)
     assert(translate(e, spark) == "t.a = 1 AND t.b = 2 AND t.c = 3")
     assert(translate(e, mongo) ==
-      """"$and": [ { "$and": [ { "$eq": [ "$a", 1 ] }, { "$eq": [ "$b", 2 ] } ] }, { "$eq": [ "$c", 3 ] } ]""")
+      """{ "$and": [ { "$and": [ { "$eq": [ "$a", 1 ] }, { "$eq": [ "$b", 2 ] } ] }, { "$eq": [ "$c", 3 ] } ] }""")
   }
 
   test("disjunction and negation") {
     val e = (col("a") === 1) || (col("b") === 2)
-    assert(translate(e, spark) == "t.a = 1 OR t.b = 2")
+    assert(translate(e, spark) == "(t.a = 1 OR t.b = 2)")
     assert(translate(e, mongo)
-      == """"$or": [ { "$eq": [ "$a", 1 ] }, { "$eq": [ "$b", 2 ] } ]""")
-    assert(translate(!(col("a") === 1), spark) == "NOT t.a = 1")
-    assert(translate(!(col("a") === 1), mongo) == """"$not": [ { "$eq": [ "$a", 1 ] } ]""")
+      == """{ "$or": [ { "$eq": [ "$a", 1 ] }, { "$eq": [ "$b", 2 ] } ] }""")
+    assert(translate(!(col("a") === 1), spark) == "NOT (t.a = 1)")
+    assert(translate(!(col("a") === 1), mongo) == """{ "$not": [ { "$eq": [ "$a", 1 ] } ] }""")
+    // parenthesized, so an OR inside an AND and a NOT of an AND keep their grouping
+    assert(translate(e && (col("c") === 3), sql) == """(t."a" = 1 OR t."b" = 2) AND t."c" = 3""")
+    assert(translate(!((col("a") === 1) && (col("b") === 2)), cypher) == "NOT (t.a = 1 AND t.b = 2)")
   }
 
   test("arithmetic operations") {
@@ -73,8 +78,8 @@ class ExprTranslationSpec extends AnyFunSuite {
     assert(translate(col("a") * 2, cypher) == "t.a * 2")
     assert(translate(col("a") / 2, sqlpp)  == "t.a / 2")
     assert(translate(col("a") % 2, spark)  == "t.a % 2")
-    assert(translate(col("a") + 1, mongo)  == """"$add": [ "$a", 1 ]""")
-    assert(translate(col("a") % 2, mongo)  == """"$mod": [ "$a", 2 ]""")
+    assert(translate(col("a") + 1, mongo)  == """{ "$add": [ "$a", 1 ] }""")
+    assert(translate(col("a") % 2, mongo)  == """{ "$mod": [ "$a", 2 ] }""")
   }
 
   test("missing-value test (isna) — the expression-13 rules") {
@@ -83,7 +88,7 @@ class ExprTranslationSpec extends AnyFunSuite {
     assert(translate(col("tenPercent").isna, spark)  == "t.tenPercent IS NULL")
     assert(translate(col("tenPercent").isna, cypher) == "t.tenPercent IS NULL")
     // MongoDB uses BSON ordering: missing/null sorts below null.
-    assert(translate(col("tenPercent").isna, mongo)  == """"$lt": [ "$tenPercent", null ]""")
+    assert(translate(col("tenPercent").isna, mongo)  == """{ "$lt": [ "$tenPercent", null ] }""")
   }
 
   test("string functions") {
@@ -91,22 +96,25 @@ class ExprTranslationSpec extends AnyFunSuite {
     assert(translate(e, sqlpp)  == "UPPER(t.stringu1)")
     assert(translate(e, sql)    == """upper(t."stringu1")""")
     assert(translate(e, spark)  == "upper(t.stringu1)")
-    assert(translate(e, mongo)  == """"$toUpper": "$stringu1"""")
+    assert(translate(e, mongo)  == """{ "$toUpper": "$stringu1" }""")
     assert(translate(e, cypher) == "upper(t.stringu1)")
+    // Mongo expressions are whole JSON values, so they nest
+    assert(translate(PFExpr.Func("upper", PFExpr.Func("lower", col("s"))), mongo)
+      == """{ "$toUpper": { "$toLower": "$s" } }""")
   }
 
   test("type conversion of a comparison (get_dummies building block)") {
     val e = PFExpr.Func("to_int", col("string4") === "A")
     assert(translate(e, sql)    == """CAST(t."string4" = 'A' AS INTEGER)""")
     assert(translate(e, spark)  == "CAST(t.string4 = 'A' AS INT)")
-    assert(translate(e, mongo)  == """"$toInt": { "$eq": [ "$string4", "A" ] }""")
+    assert(translate(e, mongo)  == """{ "$toInt": { "$eq": [ "$string4", "A" ] } }""")
     assert(translate(e, cypher) == """toInteger(t.string4 = "A")""")
   }
 
   test("null literal") {
     assert(translate(col("a") === null, spark) == "t.a = NULL")
     assert(translate(PFExpr.Cmp("eq", col("a"), PFExpr.Lit(null)), mongo)
-      == """"$eq": [ "$a", null ]""")
+      == """{ "$eq": [ "$a", null ] }""")
   }
 
   test("whole double literals render as integers") {

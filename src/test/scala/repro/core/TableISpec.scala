@@ -96,8 +96,8 @@ class TableISpec extends AnyFunSuite {
         |{"$project":{"name": 1, "address": 1}},
         |{"$project":{"_id": 0}},
         |{"$limit":10}""".stripMargin)
-    // canonicalize JSON spacing on both sides before comparing
-    def canonJson(s: String) = repro.util.Json.parse(s"[ $s ]").render
+    // compare parsed JSON, so spacing does not matter
+    def canonJson(s: String) = repro.util.Json.parse(s"[ $s ]")
     assert(canonJson(q6) == canonJson(paper))
   }
 

@@ -40,9 +40,19 @@ class MiniCypherSpec extends SparkSpec {
     assert(cs(9) == LimitClause(5))
   }
 
-  test("splitFields handles nested parens/braces and quoted aliases") {
-    val fs = MiniCypher.splitFields("'a': t.a, `b c`: upper(t.b), 'agg': max(t.x)")
-    assert(fs.map(_._1) == Seq("a", "b c", "agg"))
+  test("map entries handle nested parens/braces and quoted aliases") {
+    val Seq(_, WithProjection("t", fs)) =
+      parseClauses("MATCH(t: data) WITH t{'a': t.a, `b c`: upper(t.b), 'd': toInteger(t.x = 'x, y: {z}')}")
+    assert(fs.map(_._1) == Seq("a", "b c", "d"))
+    assert(fs(2)._2 == CypherExpr.Call("toInteger",
+      List(CypherExpr.Bin("=", CypherExpr.Ref("t", "x"), CypherExpr.Str("x, y: {z}")))))
+  }
+
+  test("clauses need no line breaks, and a string literal may span lines") {
+    assert(parseClauses("MATCH(t: data) WITH t WHERE t.s = \"a\nMATCH(b)\" RETURN COUNT(*) AS t") == Seq(
+      MatchScan("t", "data"),
+      WithWhere("t", CypherExpr.Bin("=", CypherExpr.Ref("t", "s"), CypherExpr.Str("a\nMATCH(b)"))),
+      ReturnCount("t")))
   }
 
   private def runQ(q: String): org.apache.spark.sql.DataFrame = MiniCypher.run(q, colls)

@@ -278,6 +278,43 @@ class BenchmarkExpressionsSpec extends SparkSpec {
     }
   }
 
+  /** `df.filter(cond).select("unique1")` on every backend equals the DuckDB reference. */
+  private def filterMatchesOracle(cond: repro.core.PFExpr, where: String): Unit =
+    forAllBackends { (c, df, _) =>
+      withClue(c.name) {
+        Oracle.assertEquivalent(df.filter(cond).select("unique1").collectAll(),
+          s"SELECT unique1 FROM wisconsin WHERE $where", "wisconsin" -> data)
+      }
+    }
+
+  test("an OR inside an AND and a NOT of an AND keep their grouping on every backend") {
+    filterMatchesOracle((col("two") === 1 || col("four") === 2) && col("ten") < 3,
+      "(two = 1 OR four = 2) AND ten < 3")
+    filterMatchesOracle(!(col("two") === 1 && col("ten") === 3), "NOT (two = 1 AND ten = 3)")
+  }
+
+  test("x != v keeps rows where x is missing on every backend, as Pandas does") {
+    filterMatchesOracle(col("tenPercent") =!= 4, "tenPercent IS DISTINCT FROM 4")
+    forAllBackends { (c, df, _) =>
+      // 1800 present values, 200 of them 4, plus the 200 missing ones
+      assert(df.filter(col("tenPercent") =!= 4).count() == N - N / 10, c.name)
+    }
+  }
+
+  test("nested expressions on MiniMongo equal DuckDB") {
+    val (df, _) = frames(mongoConn)
+    import repro.core.PFExpr.{Arith, Cmp, Func, Lit}
+    Oracle.assertEquivalent(
+      df.projectExpr(Func("upper", Func("lower", col("stringu1"))), "s").collectAll(),
+      "SELECT upper(lower(stringu1)) AS s FROM wisconsin", "wisconsin" -> data)
+    Oracle.assertEquivalent(
+      df.projectExpr(Func("to_str", col("unique1")), "s").collectAll(),
+      "SELECT CAST(unique1 AS VARCHAR) AS s FROM wisconsin", "wisconsin" -> data)
+    Oracle.assertEquivalent(
+      df.filter(Cmp("eq", Arith("add", col("ten"), Lit(1)), Lit(5))).select("unique1").collectAll(),
+      "SELECT unique1 FROM wisconsin WHERE ten + 1 = 5", "wisconsin" -> data)
+  }
+
   test("chained transformations compose across backends (filter→project→sort→head)") {
     forAllBackends { (c, df, _) =>
       val r = df.filter(col("ten") === 4)

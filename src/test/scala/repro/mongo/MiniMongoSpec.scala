@@ -164,6 +164,25 @@ class MiniMongoSpec extends SparkSpec {
     assert(run(p).collect().head.getLong(0) == 1000L)
   }
 
+  test("$ne keeps missing values, as MongoDB does") {
+    // tenPercent is missing on 100 of the 1000 rows and 4 on 100 others
+    assert(run("""[{"$match":{"$expr":{"$ne":["$tenPercent",4]}}},{"$count":"count"}]""")
+      .collect().head.getLong(0) == 900L)
+    assert(run("""[{"$match":{"$expr":{"$ne":["$tenPercent",null]}}},{"$count":"count"}]""")
+      .collect().head.getLong(0) == 900L)
+  }
+
+  test("$project computes nested expressions and bare field paths") {
+    val df = run("""[{"$project":{"u":{"$toUpper":{"$toLower":"$string4"}},"k":"$ten",
+                    |"s":{"$toString":"$ten"},"x":{"$eq":[{"$add":["$ten",1]},5]}}}]""".stripMargin)
+    assert(df.columns.toSeq == Seq("u", "k", "s", "x"))
+    df.collect().foreach { r =>
+      assert(Set("A", "H", "O", "V").contains(r.getString(0)))
+      assert(r.getString(2) == r.get(1).toString)
+      assert(r.getBoolean(3) == (r.get(1).toString == "4"))
+    }
+  }
+
   test("unsupported stage raises MongoError") {
     intercept[MiniMongo.MongoError](run("""[{"$facet":{}}]"""))
   }

@@ -120,7 +120,7 @@ class WisconsinDataSpec extends SparkSpec {
       val lines = java.nio.file.Files.readAllLines(tmp)
       assert(lines.size == 100)
       assert(lines.stream.filter(l => !l.contains("\"tenPercent\"")).count == 10)
-      // every line parses with our JSON parser
+      // every line parses with the strict JSON parser
       lines.forEach(l => repro.util.Json.parse(l))
     } finally java.nio.file.Files.deleteIfExists(tmp)
   }
