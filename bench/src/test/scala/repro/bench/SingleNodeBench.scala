@@ -82,8 +82,8 @@ class SingleNodeBench extends AnyFunSuite {
 
 object BenchOutput {
   /** Persist a bench table under bench/results/ for EXPERIMENTS.md. The
-    * forked bench JVM's cwd is the subproject dir (bench/), while jobs run
-    * from the repo root — detect which by looking for build.sbt.
+    * forked bench JVM's cwd is the subproject dir (bench/); a run from the
+    * repo root sees build.sbt and writes under bench/results.
     */
   def save(name: String, content: String): Unit = {
     val default =

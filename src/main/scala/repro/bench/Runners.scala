@@ -42,7 +42,7 @@ object Runners {
   }
 
   /** Fresh session (any prior one must be stopped) — public so bench
-    * suites and jobs manage their own lifecycles.
+    * suites and pfbench manage their own lifecycles.
     */
   def newSession(master: String = "local[*]", shufflePartitions: Int = 16): SparkSession = {
     SparkSession.clearActiveSession()

@@ -268,7 +268,7 @@ object Languages {
       |lower = { "$toLower": $statement }
       |
       |[LITERALS]
-      |string = "$value"
+      |string = { "$literal": "$value" }
       |null = null
       |
       |[FUNCTIONS]

@@ -1,7 +1,6 @@
 package repro.cypher
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
+import repro.util.SparkSql.{ident, number, string}
 
 /** Expression AST + parser for the Cypher subset PolyFrame emits.
   *
@@ -183,6 +182,8 @@ object CypherExpr {
             }
           case TOp(".") :: TId(attr) :: rest =>       // var.attr
             toks = rest; Ref(id, attr)
+          case TOp(".") :: TStr(attr) :: rest =>      // var.`quoted attr`
+            toks = rest; Ref(id, attr)
           case _ => Var(id)
         }
       case t => throw CypherParseError(s"unexpected token $t")
@@ -196,65 +197,55 @@ object CypherExpr {
     e
   }
 
-  // ------------------------------------------------------------------ to Spark
+  // ------------------------------------------------------------------ to Spark SQL
 
   /** Name of MiniCypher's state column for attribute `attr` of variable `v`. */
   private[cypher] def stateName(v: String, attr: String): String = s"$v.$attr"
 
-  /** MiniCypher's flat state column for `v.attr`. */
-  private[cypher] def stateColumn(v: String, attr: String): Column = quoted(stateName(v, attr))
+  /** MiniCypher's flat state column for `v.attr`, quoted for SQL text. */
+  private[cypher] def stateRef(v: String, attr: String): String = ident(stateName(v, attr))
 
-  /** A column by its exact name (dots and backticks taken literally). */
-  private[cypher] def quoted(name: String): Column = col("`" + name.replace("`", "``") + "`")
+  private val binaryOps = Set("=", "<>", ">", "<", ">=", "<=", "+", "-", "*", "/", "%")
 
-  /** Scalar translation; `t.attr` resolves to its own flat state column. */
-  def toColumn(a: Ast): Column = a match {
-    case Ref(v, attr) => stateColumn(v, attr)
-    case Str(s)       => lit(s)
-    case Num(d)       => if (d.isWhole && math.abs(d) < 1e15) lit(d.toLong) else lit(d)
-    case Bool(b)      => lit(b)
-    case NullLit      => lit(null)
-    case Star         => lit(1)
-    case Bin("=", l, r)  => toColumn(l) === toColumn(r)
-    case Bin("<>", l, r) => toColumn(l) =!= toColumn(r)
-    case Bin(">", l, r)  => toColumn(l) > toColumn(r)
-    case Bin("<", l, r)  => toColumn(l) < toColumn(r)
-    case Bin(">=", l, r) => toColumn(l) >= toColumn(r)
-    case Bin("<=", l, r) => toColumn(l) <= toColumn(r)
-    case Bin("and", l, r) => toColumn(l) && toColumn(r)
-    case Bin("or", l, r)  => toColumn(l) || toColumn(r)
-    case Bin("+", l, r)  => toColumn(l) + toColumn(r)
-    case Bin("-", l, r)  => toColumn(l) - toColumn(r)
-    case Bin("*", l, r)  => toColumn(l) * toColumn(r)
-    case Bin("/", l, r)  => toColumn(l) / toColumn(r)
-    case Bin("%", l, r)  => toColumn(l) % toColumn(r)
-    case NotOp(e)        => !toColumn(e)
-    case IsNull(e, false) => toColumn(e).isNull
-    case IsNull(e, true)  => toColumn(e).isNotNull
-    case Call(fn, args)  => scalarCall(fn, args)
+  /** Scalar translation to Spark SQL; `t.attr` is its own flat state column. */
+  def toSql(a: Ast): String = a match {
+    case Ref(v, attr) => stateRef(v, attr)
+    case Str(s)       => string(s)
+    case Num(d)       => number(d)
+    case Bool(b)      => if (b) "TRUE" else "FALSE"
+    case NullLit      => "NULL"
+    case Star         => "1"
+    case Bin(op, l, r) =>
+      val sqlOp = op match {
+        case "and" => "AND"
+        case "or"  => "OR"
+        case o if binaryOps(o) => o
+        case o     => throw CypherParseError(s"unsupported operator $o")
+      }
+      s"(${toSql(l)} $sqlOp ${toSql(r)})"
+    case NotOp(e)         => s"(NOT ${toSql(e)})"
+    case IsNull(e, false) => s"(${toSql(e)} IS NULL)"
+    case IsNull(e, true)  => s"(${toSql(e)} IS NOT NULL)"
+    case Call(fn, args)   => scalarCall(fn, args)
     case other => throw CypherParseError(s"cannot translate $other")
   }
 
-  private def scalarCall(fn: String, args: List[Ast]): Column = fn.toLowerCase match {
-    case "upper"     => upper(toColumn(args.head))
-    case "lower"     => lower(toColumn(args.head))
-    case "tointeger" => toColumn(args.head).cast("long")
-    case "tostring"  => toColumn(args.head).cast("string")
-    case "abs"       => abs(toColumn(args.head))
+  private def scalarCall(fn: String, args: List[Ast]): String = fn.toLowerCase match {
+    case "upper"     => s"upper(${toSql(args.head)})"
+    case "lower"     => s"lower(${toSql(args.head)})"
+    case "tointeger" => s"CAST(${toSql(args.head)} AS BIGINT)"
+    case "tostring"  => s"CAST(${toSql(args.head)} AS STRING)"
+    case "abs"       => s"abs(${toSql(args.head)})"
     case other       => throw CypherParseError(s"unsupported function $other")
   }
 
-  /** Aggregate translation (used inside WITH-grouping / RETURN COUNT). */
-  def toAggColumn(a: Ast): Column = a match {
+  /** Aggregate translation (used inside WITH-grouping). */
+  def toAggSql(a: Ast): String = a match {
     case Call(fn, args) => fn.toLowerCase match {
-      case "count" if args == List(Star) => count(lit(1))
-      case "count" => count(toColumn(args.head))
-      case "min"   => min(toColumn(args.head))
-      case "max"   => max(toColumn(args.head))
-      case "avg"   => avg(toColumn(args.head))
-      case "sum"   => sum(toColumn(args.head))
-      case "stdevp" => stddev_pop(toColumn(args.head))
-      case other   => throw CypherParseError(s"unsupported aggregate $other")
+      case "count" if args == List(Star) => "count(1)"
+      case f @ ("count" | "min" | "max" | "avg" | "sum") => s"$f(${toSql(args.head)})"
+      case "stdevp" => s"stddev_pop(${toSql(args.head)})"
+      case other    => throw CypherParseError(s"unsupported aggregate $other")
     }
     case other => throw CypherParseError(s"not an aggregate: $other")
   }

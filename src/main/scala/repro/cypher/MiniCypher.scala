@@ -1,24 +1,29 @@
 package repro.cypher
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.util.SparkSql
+import repro.util.SparkSql.{Query, view}
 import CypherExpr._
 
-/** MiniCypher: parser + executor for the Cypher subset PolyFrame's rewrite
-  * rules emit, running on Spark DataFrames — the stand-in substrate for
-  * Neo4j (DESIGN.md §3).
+/** MiniCypher: parser + engine for the Cypher subset PolyFrame's rewrite
+  * rules emit, running on Spark — the stand-in substrate for Neo4j
+  * (DESIGN.md §3).
   *
-  * Execution state is a DataFrame of **flat columns, one per (variable,
-  * attribute)**: `t.attr` is the column named `t.attr` (see
-  * `CypherExpr.stateColumn`), a `WITH v{…}` projection is a plain `select`
-  * of aliased columns, and a join MATCH prefixes both sides, so `t` and `r`
-  * never collide. A per-run map from each variable to its attribute list
-  * says which columns `RETURN v` takes back to their bare names. Flat
-  * columns keep Catalyst cheap on notebook-style chains: a struct column
-  * per variable made `CollapseProject` inline each `CreateNamedStruct`
-  * into every `GetStructField` of the next projection, so stacked
-  * `WITH t{…}` clauses grew the expression trees multiplicatively before
-  * they were simplified (up to seconds of optimizer time per action).
+  * A clause list is lowered to one Spark SQL query, its clauses folded into
+  * `SELECT` blocks (`SparkSql.Query`), and run with `spark.sql`, so Spark
+  * parses and analyzes the whole program once.
+  *
+  * Execution state is **flat columns, one per (variable, attribute)**:
+  * `t.attr` is the column named `t.attr` (see `CypherExpr.stateName`), a
+  * `WITH v{…}` projection is a `SELECT` of aliased columns, and a join
+  * MATCH prefixes both sides, so `t` and `r` never collide. A per-run map
+  * from each variable to its attribute list says which columns `RETURN v`
+  * takes back to their bare names. Flat columns keep Catalyst cheap on
+  * notebook-style chains: a struct column per variable made
+  * `CollapseProject` inline each `CreateNamedStruct` into every
+  * `GetStructField` of the next projection, so stacked `WITH t{…}` clauses
+  * grew the expression trees multiplicatively before they were simplified
+  * (up to seconds of optimizer time per action).
   *
   * Clauses, read from the one token stream `CypherExpr.tokenize` makes of
   * the query (a string literal may span lines):
@@ -26,7 +31,7 @@ import CypherExpr._
   * MATCH(t: label)                      scan
   * MATCH(r: label) WHERE t.a = r.b     join with the current state
   * WITH t{'a': expr, ...}              map projection (variable stays t)
-  * WITH t WHERE pred                    filter
+  * WITH t WHERE pred                    filter (t.`a b` quotes an attribute name)
   * WITH { 'k': t.k, 'x': max(t.a) } AS t   implicit-grouping aggregation
   * WITH t ORDER BY t.a [DESC]           sort, nulls last both ways
   * WITH t, r                            keep these variables
@@ -109,64 +114,71 @@ object MiniCypher {
     fs.result()
   }
 
-  /** A collection's columns as the state columns of variable `v`. */
-  private def bind(collection: DataFrame, v: String): DataFrame =
-    collection.select(collection.columns.toIndexedSeq.map(c => quoted(c).as(stateName(v, c))): _*)
-
   def run(query: String, collections: String => DataFrame): DataFrame =
     runClauses(parseClauses(query), collections)
 
+  /** Lower the clauses to one Spark SQL query, folded into `SELECT` blocks
+    * (`SparkSql.Query`), and run it with `spark.sql`.
+    */
   def runClauses(clauses: Seq[Clause], collections: String => DataFrame): DataFrame = {
-    var df: DataFrame = null
+    var q: Query = null
+    var spark: SparkSession = null // the session of the scanned collections
     var vars = Map.empty[String, Seq[String]] // variable -> its attributes, in column order
+    def list(xs: Seq[String]): String = xs.mkString(", ")
+    def next(f: Query => Query): Unit = {
+      require(q != null, "a Cypher program starts with a MATCH scan")
+      q = f(q)
+    }
+    /** Scan `label`, its columns renamed to the state columns of variable `v`. */
+    def bind(v: String, label: String): Query = {
+      val source = collections(label)
+      spark = source.sparkSession
+      vars += v -> source.columns.toSeq
+      Query(view(source), list(vars(v).map(c => s"${SparkSql.ident(c)} AS ${stateRef(v, c)}")))
+    }
     clauses.foreach {
       case MatchScan(v, label) =>
-        require(df == null, "MATCH scan must be the first clause")
-        val source = collections(label)
-        df = bind(source, v)
-        vars = Map(v -> source.columns.toSeq)
+        require(q == null, "MATCH scan must be the first clause")
+        q = bind(v, label)
 
       case MatchJoin(v, label, pred) =>
         require(!vars.contains(v), s"variable $v is already bound")
-        val source = collections(label)
-        df = df.join(bind(source, v), toColumn(pred), "inner")
-        vars += v -> source.columns.toSeq
+        next(l => Query(s"(\n${l.sql}\n) q JOIN (\n${bind(v, label).sql}\n) r ON ${toSql(pred)}"))
 
       case WithProjection(v, fields) =>
-        df = df.select(fields.map { case (a, e) => toColumn(e).as(stateName(v, a)) }: _*)
+        next(_.select(list(fields.map { case (a, e) => s"${toSql(e)} AS ${stateRef(v, a)}" })))
         vars = Map(v -> fields.map(_._1))
 
       case WithWhere(_, pred) =>
-        df = df.filter(toColumn(pred))
+        next(_.filter(toSql(pred)))
 
       case WithGroup(fields, as) =>
-        val (aggs, keys) = fields.partition { case (_, e) => containsAggregate(e) }
-        require(aggs.nonEmpty, "WITH-group needs at least one aggregate")
-        val aggCols = aggs.map { case (a, e) => toAggColumn(e).as(stateName(as, a)) }
-        df = df.groupBy(keys.map { case (a, e) => toColumn(e).as(stateName(as, a)) }: _*)
-          .agg(aggCols.head, aggCols.tail: _*)
-          .select(fields.map { case (a, _) => stateColumn(as, a) }: _*)
+        require(fields.exists { case (_, e) => containsAggregate(e) }, "WITH-group needs at least one aggregate")
+        val items = fields.map { case (a, e) =>
+          s"${if (containsAggregate(e)) toAggSql(e) else toSql(e)} AS ${stateRef(as, a)}"
+        }
+        next(_.select(list(items), list(fields.collect { case (_, e) if !containsAggregate(e) => toSql(e) })))
         vars = Map(as -> fields.map(_._1))
 
       case WithOrder(_, key, desc) =>
         // Pandas' na_position='last' both ways (Neo4j, too, sorts nulls last ascending)
-        df = df.orderBy(if (desc) toColumn(key).desc_nulls_last else toColumn(key).asc_nulls_last)
+        next(_.sort(s"${toSql(key)} ${if (desc) "DESC" else "ASC"} NULLS LAST"))
 
       case WithVars(vs) =>
         vs.foreach(v => require(vars.contains(v), s"unbound variable $v"))
         vars = vars.filter { case (v, _) => vs.contains(v) }
 
       case ReturnCount(alias) =>
-        df = df.agg(count(lit(1)).as(alias))
+        next(_.select(s"COUNT(1) AS ${SparkSql.ident(alias)}"))
 
       case ReturnVar(v) =>
         require(vars.contains(v), s"unbound variable $v")
-        df = df.select(vars(v).map(a => stateColumn(v, a).as(a)): _*)
+        next(_.select(list(vars(v).map(a => s"${stateRef(v, a)} AS ${SparkSql.ident(a)}"))))
 
       case LimitClause(n) =>
-        df = df.limit(n)
+        next(_.take(n))
     }
-    require(df != null, "empty Cypher program")
-    df
+    require(q != null, "empty Cypher program")
+    spark.sql(q.sql)
   }
 }

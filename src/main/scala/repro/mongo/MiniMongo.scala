@@ -1,27 +1,41 @@
 package repro.mongo
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 import org.json4s._
 import org.json4s.jackson.JsonMethods.compact
 import repro.util.JArr
+import repro.util.SparkSql.{Query, ident, number, string, view}
 
-/** MiniMongo: an interpreter for the MongoDB aggregation-pipeline subset
-  * that PolyFrame's Mongo rewrite rules emit, executing on Spark
-  * DataFrames. This is the stand-in substrate for MongoDB itself (see
-  * DESIGN.md §3) — the generated pipelines are *executed*, so the rewrite
-  * rules are validated by results, not just text.
+/** MiniMongo: an engine for the MongoDB aggregation-pipeline subset that
+  * PolyFrame's Mongo rewrite rules emit, executing on Spark. This is the
+  * stand-in substrate for MongoDB itself (see DESIGN.md §3) — the
+  * generated pipelines are *executed*, so the rewrite rules are validated
+  * by results, not just text.
+  *
+  * A pipeline is lowered to one Spark SQL query, its stages folded into
+  * `SELECT` blocks (`SparkSql.Query`), and run with `spark.sql`, so Spark
+  * parses and analyzes the whole pipeline once. The lowering
+  * tracks each stage's output fields in order, which keeps MongoDB's field
+  * order (`$addFields` replaces a field in place or appends it) and
+  * resolves a field path: `$a.b` names the field `a.b` when one exists,
+  * else field `b` inside `a` (as `$_id.k` does after `$group`).
   *
   * Supported stages: $match (empty, $expr, simple equality), $project
   * (include / computed / exclude), $addFields, $group (struct `_id` +
-  * accumulators, restored via $addFields exactly as the rewrites emit),
+  * accumulators, restored via $addFields exactly as the rewrites emit; the
+  * group runs on the key expressions and `_id` is built afterwards),
   * $sort, $limit, $count, $lookup (let/pipeline correlated form) and
-  * $unwind.
+  * $unwind. A `$lookup` followed by an `$unwind` of its `as` field that
+  * drops unmatched documents (`preserveNullAndEmptyArrays: false`) runs as
+  * one inner equi-join with the right document under `as`, as MongoDB's
+  * optimizer coalesces the pair; any other `$lookup` is a left join to the
+  * right documents collected per key.
   *
-  * Expression operators: field paths (`$a`, `$_id.a`), $eq/$ne/$gt/$lt/
-  * $gte/$lte (with MongoDB's `<op> null` missing-data idioms), $and/$or/
-  * $not, $add/$subtract/$multiply/$divide/$mod, $toUpper/$toLower/$toInt/
-  * $toString, $cond, $ifNull; accumulators $min/$max/$avg/$sum/$stdDevPop.
+  * Expression operators: field paths (`$a`, `$_id.a`), $literal, $eq/$ne/
+  * $gt/$lt/$gte/$lte (with MongoDB's `<op> null` missing-data idioms),
+  * $and/$or/$not, $add/$subtract/$multiply/$divide/$mod, $toUpper/$toLower/
+  * $toInt/$toString, $cond, $ifNull; accumulators $min/$max/$avg/$sum/
+  * $stdDevPop.
   */
 object MiniMongo {
 
@@ -30,8 +44,17 @@ object MiniMongo {
   /** Run `pipeline` (a parsed JSON array of stages) against `base`;
     * `collections` resolves `$lookup.from` references.
     */
-  def run(base: DataFrame, pipeline: JArr, collections: String => DataFrame): DataFrame =
-    pipeline.arr.foldLeft(base)((df, stage) => applyStage(df, stageObj(stage), collections))
+  def run(base: DataFrame, pipeline: JArr, collections: String => DataFrame): DataFrame = {
+    base.sparkSession.sql(lower(from(base), pipeline.arr, collections).sql)
+  }
+
+  /** A lowered pipeline prefix: a Spark SQL query and its output fields, in order. */
+  private final case class Rel(query: Query, cols: Vector[String]) {
+    def sql: String = query.sql
+    def next(f: Query => Query): Rel = copy(query = f(query))
+    def select(items: String, keys: String = "", out: Vector[String] = cols): Rel =
+      Rel(query.select(items, keys), out)
+  }
 
   /** A JSON number's value (`Json.parse` reads integers as `JLong`). */
   private object Num {
@@ -52,71 +75,101 @@ object MiniMongo {
     case other => throw MongoError(s"stage must be a single-key object: ${compact(other)}")
   }
 
-  private def applyStage(df: DataFrame, stage: (String, JValue),
-                         collections: String => DataFrame): DataFrame = stage match {
-    case ("$match", JObject(Nil)) => df
-    case ("$match", o: JObject) =>
-      o \ "$expr" match {
-        case JNothing =>
-          // simple equality document: { field: value, ... }
-          df.filter(o.obj.map { case (f, v) => col(f) === litOf(v) }.reduce(_ && _))
-        case e => df.filter(expr(e))
+  private def list(xs: Iterable[String]): String = xs.mkString(", ")
+
+  private def from(df: DataFrame): Rel = Rel(Query(view(df)), df.columns.toVector)
+
+  /** `stages` lowered on top of `rel`, one stage at a time. */
+  private def lower(rel: Rel, stages: List[JValue], collections: String => DataFrame): Rel =
+    stages match {
+      case Nil => rel
+      case l :: u :: rest => (stageObj(l), stageObj(u)) match {
+        // MongoDB's $lookup + $unwind coalescence: the unwind drops unmatched documents
+        case (("$lookup", spec: JObject), ("$unwind", unwind: JObject))
+            if str(unwind \ "path") == "$" + str(spec \ "as") &&
+               unwind \ "preserveNullAndEmptyArrays" != JBool(true) =>
+          lower(lookup(rel, spec, coalesced = true, collections), rest, collections)
+        case (st, _) => lower(stage(rel, st, collections), u :: rest, collections)
       }
+      case s :: rest => lower(stage(rel, stageObj(s), collections), rest, collections)
+    }
+
+  /** `value AS k` in place of field `k`, or appended when there is none. */
+  private def withField(r: Rel, k: String, value: String): Rel = {
+    val item = s"$value AS ${ident(k)}"
+    if (r.cols.contains(k)) r.select(list(r.cols.map(c => if (c == k) item else ident(c))))
+    else r.select(s"*, $item", out = r.cols :+ k)
+  }
+
+  private def stage(rel: Rel, stage: (String, JValue), collections: String => DataFrame): Rel = stage match {
+    case ("$match", JObject(Nil)) => rel
+    case ("$match", o: JObject) =>
+      val cond = o \ "$expr" match {
+        // simple equality document: { field: value, ... }
+        case JNothing => o.obj.map { case (f, v) => s"${field(f, rel.cols)} = ${literal(v)}" }.mkString(" AND ")
+        case e        => expr(e, rel.cols)
+      }
+      rel.next(_.filter(cond))
 
     case ("$project", JObject(fields)) =>
       val kept = fields.filter { case (_, Num(0.0)) => false; case _ => true }
-      if (kept.isEmpty) df.drop(fields.map(_._1).filter(df.columns.contains): _*)
-      else df.select(kept.map {
-        case (k, Num(1.0)) => col(k)
-        case (k, v)        => expr(v).as(k)
-      }: _*)
+      if (kept.isEmpty) {
+        val out = rel.cols.filterNot(c => fields.exists(_._1 == c))
+        if (out == rel.cols) rel else rel.select(list(out.map(ident)), out = out)
+      } else rel.select(list(kept.map {
+        case (k, Num(1.0)) => s"${field(k, rel.cols)} AS ${ident(k)}"
+        case (k, v)        => s"${expr(v, rel.cols)} AS ${ident(k)}"
+      }), out = kept.map(_._1).toVector)
 
     case ("$addFields", JObject(fields)) =>
-      fields.foldLeft(df) { case (d, (k, v)) => d.withColumn(k, expr(v)) }
+      fields.foldLeft(rel) { case (r, (k, v)) => withField(r, k, expr(v, r.cols)) }
 
     case ("$group", o @ JObject(fields)) =>
       val accs = fields.collect {
-        case (alias, spec: JObject) if alias != "_id" => accumulator(spec).as(alias)
+        case (alias, spec: JObject) if alias != "_id" => alias -> accumulator(spec, rel.cols)
       }
       if (accs.isEmpty) throw MongoError("$group requires at least one accumulator")
+      val aggs  = accs.map { case (a, e) => s"$e AS ${ident(a)}" }
+      val names = accs.map(_._1).toVector
       o \ "_id" match {
-        case JObject(Nil) =>
-          df.agg(accs.head, accs.tail: _*).withColumn("_id", lit(null))
+        case JObject(Nil) => rel.select(list(aggs :+ "NULL AS `_id`"), out = names :+ "_id")
         case JObject(kf) =>
-          val idStruct = struct(kf.map { case (k, v) => expr(v).as(k) }: _*).as("_id")
-          df.groupBy(idStruct).agg(accs.head, accs.tail: _*)
+          // group on the key expressions; the `_id` document is built from them after grouping
+          val keys = kf.map { case (k, v) => k -> expr(v, rel.cols) }
+          val id   = s"named_struct(${list(keys.map { case (k, e) => s"${string(k)}, $e" })}) AS `_id`"
+          rel.select(list(id +: aggs), list(keys.map(_._2)), "_id" +: names)
         case JNothing => throw MongoError("$group requires _id")
         case other    => throw MongoError(s"unsupported _id: ${compact(other)}")
       }
 
     case ("$sort", JObject(fields)) =>
-      val orders = fields.map {
-        case (f, Num(-1.0)) => col(f).desc
-        case (f, _)         => col(f).asc
-      }
-      df.orderBy(orders: _*)
+      // BSON order puts null first ascending and last descending, as Spark's defaults do
+      rel.next(_.sort(list(fields.map {
+        case (f, Num(-1.0)) => s"${field(f, rel.cols)} DESC"
+        case (f, _)         => s"${field(f, rel.cols)} ASC"
+      })))
 
-    case ("$limit", Num(n)) => df.limit(n.toInt)
+    case ("$limit", Num(n)) => rel.next(_.take(n.toInt))
 
-    case ("$count", JString(name)) => df.agg(count(lit(1)).as(name))
+    case ("$count", JString(name)) => rel.select(s"COUNT(1) AS ${ident(name)}", out = Vector(name))
 
-    case ("$lookup", spec: JObject) => lookup(df, spec, collections)
+    case ("$lookup", spec: JObject) => lookup(rel, spec, coalesced = false, collections)
 
     case ("$unwind", spec: JObject) =>
       val path = str(spec \ "path").stripPrefix("$")
-      if (spec \ "preserveNullAndEmptyArrays" == JBool(true)) df.withColumn(path, explode_outer(col(path)))
-      else df.withColumn(path, explode(col(path)))
+      val fn = if (spec \ "preserveNullAndEmptyArrays" == JBool(true)) "explode_outer" else "explode"
+      withField(rel, path, s"$fn(${field(path, rel.cols)})")
 
     case (op, v) => throw MongoError(s"unsupported stage $op: ${compact(v)}")
   }
 
   /** Correlated `$lookup`: stages of the sub-pipeline that reference a
     * `$$variable` become the equi-join condition; the remaining stages are
-    * applied to the foreign collection first (as MongoDB would).
+    * applied to the foreign collection first (as MongoDB would). Left
+    * fields come first, then the right document(s) under `as`.
     */
-  private def lookup(left: DataFrame, spec: JObject,
-                     collections: String => DataFrame): DataFrame = {
-    val from   = str(spec \ "from")
+  private def lookup(left: Rel, spec: JObject, coalesced: Boolean,
+                     collections: String => DataFrame): Rel = {
     val asName = str(spec \ "as")
     val letVars: Map[String, String] = spec \ "let" match {
       case JObject(fs) => fs.map { case (k, v) => k -> str(v).stripPrefix("$") }.toMap
@@ -131,104 +184,116 @@ object MiniMongo {
 
     // Split sub-pipeline stages into variable-correlated join predicates vs.
     // plain stages applied to the foreign side.
-    var joinKeys = List.empty[(String, String)] // (rightField, leftField)
-    var right    = collections(from)
-    stages.foreach { s =>
-      stageObj(s) match {
-        case ("$match", o: JObject) if refersToVariable(o \ "$expr") =>
-          o \ "$expr" \ "$eq" match {
-            case JArray(List(JString(a), JString(b))) =>
-              val (varSide, fieldSide) =
-                if (a.startsWith("$$")) (a, b) else (b, a)
-              val leftField = letVars.getOrElse(varSide.stripPrefix("$$"),
-                throw MongoError(s"unknown $$-variable $varSide"))
-              joinKeys ::= (fieldSide.stripPrefix("$"), leftField)
-            case _ => throw MongoError(s"unsupported correlated $$expr: ${compact(o)}")
-          }
-        case st => right = applyStage(right, st, collections)
-      }
-    }
+    val (correlated, plain) = stages.partition(s => stageObj(s) match {
+      case ("$match", o: JObject) => refersToVariable(o \ "$expr")
+      case _                      => false
+    })
+    val joinKeys = correlated.map(s => stageObj(s)._2 \ "$expr" \ "$eq" match { // (rightField, leftField)
+      case JArray(List(JString(a), JString(b))) =>
+        val (varSide, fieldSide) = if (a.startsWith("$$")) (a, b) else (b, a)
+        val leftField = letVars.getOrElse(varSide.stripPrefix("$$"),
+          throw MongoError(s"unknown $$-variable $varSide"))
+        (fieldSide.stripPrefix("$"), leftField)
+      case _ => throw MongoError(s"unsupported correlated $$expr: ${compact(stageObj(s)._2)}")
+    })
     if (joinKeys.isEmpty) throw MongoError("$lookup without a correlated predicate")
+    val right = lower(from(collections(str(spec \ "from"))), plain, collections)
 
-    val rightKeyCols = joinKeys.map(_._1)
-    val grouped = right
-      .groupBy(rightKeyCols.map(f => col(f).as(s"__mk_$f")): _*)
-      .agg(collect_list(struct(right.columns.map(col): _*)).as(asName))
-    val cond = joinKeys.map { case (rf, lf) => left(lf) === grouped(s"__mk_$rf") }.reduce(_ && _)
-    left.join(grouped, cond, "left").drop(rightKeyCols.map(f => s"__mk_$f"): _*)
+    def document(q: String) =
+      s"named_struct(${list(right.cols.map(c => s"${string(c)}, ${field(c, right.cols, q)}"))})"
+    def joined(join: String, rightSql: String, rightKey: String => String, value: String): Rel = {
+      val on = joinKeys.map { case (rf, lf) => s"${field(lf, left.cols, "`__left`")} = ${rightKey(rf)}" }
+      val items = left.cols.map(c => s"`__left`.${ident(c)}") :+ s"$value AS ${ident(asName)}"
+      val from = s"(\n${left.sql}\n) `__left` $join (\n$rightSql\n) `__right` ON ${on.mkString(" AND ")}"
+      Rel(Query(from, list(items)), left.cols :+ asName)
+    }
+    if (coalesced) joined("JOIN", right.sql, field(_, right.cols, "`__right`"), document("`__right`"))
+    else {
+      val keys = joinKeys.map { case (rf, _) => field(rf, right.cols) -> ident("__mk_" + rf) }
+      val grouped = right.select(
+        list(keys.map { case (k, mk) => s"$k AS $mk" } :+ s"collect_list(${document("")}) AS `__docs`"),
+        list(keys.map(_._1)))
+      joined("LEFT JOIN", grouped.sql, rf => s"`__right`.${ident("__mk_" + rf)}", "`__right`.`__docs`")
+    }
   }
 
-  private def litOf(j: JValue): Column = j match {
-    case JNull      => lit(null)
-    case JBool(b)   => lit(b)
-    case JString(s) => lit(s)
-    case Num(d)     => if (d.isWhole && math.abs(d) < 1e15) lit(d.toLong) else lit(d)
+  /** A field path over the fields `cols`, optionally qualified by a relation alias. */
+  private def field(path: String, cols: Seq[String], qualifier: String = ""): String = {
+    val quoted = (if (cols.contains(path)) Seq(path) else path.split('.').toSeq).map(ident).mkString(".")
+    if (qualifier.isEmpty) quoted else s"$qualifier.$quoted"
+  }
+
+  private def literal(j: JValue): String = j match {
+    case JNull      => "NULL"
+    case JBool(b)   => if (b) "TRUE" else "FALSE"
+    case JString(s) => string(s)
+    case Num(d)     => number(d)
     case other      => throw MongoError(s"not a literal: ${compact(other)}")
   }
 
-  /** Translate a MongoDB expression to a Spark Column. */
-  def expr(j: JValue): Column = j match {
+  /** Render a MongoDB expression as Spark SQL over the fields `cols`. */
+  def expr(j: JValue, cols: Seq[String]): String = j match {
     case JString(s) if s.startsWith("$$") => throw MongoError(s"unbound variable $s")
-    case JString(s) if s.startsWith("$")  => col(s.stripPrefix("$"))
-    case JString(_) | JNull | JBool(_) | Num(_) => litOf(j)
+    case JString(s) if s.startsWith("$")  => field(s.stripPrefix("$"), cols)
+    case JString(_) | JNull | JBool(_) | Num(_) => literal(j)
     case JObject(List((op, v))) =>
+      def e(x: JValue) = expr(x, cols)
       def pair: (JValue, JValue) = v match {
         case JArray(List(a, b)) => (a, b)
         case other => throw MongoError(s"$op expects a 2-array: ${compact(other)}")
       }
-      def all: List[Column] = v match {
-        case JArray(xs) => xs.map(expr)
+      def binary(sqlOp: String) = s"(${e(pair._1)} $sqlOp ${e(pair._2)})"
+      def all(sqlOp: String): String = v match {
+        case JArray(xs) => xs.map(e).mkString("(", s" $sqlOp ", ")")
         case other      => throw MongoError(s"bad $op: ${compact(other)}")
       }
       op match {
+        case "$literal" => literal(v)
         // MongoDB BSON-order idioms for missing data: `x < null` is true
         // only for missing/null x; `x > null` is true for present x.
-        case "$lt" if pair._2 == JNull => expr(pair._1).isNull
-        case "$gt" if pair._2 == JNull => expr(pair._1).isNotNull
-        case "$eq" if pair._2 == JNull => expr(pair._1).isNull
-        case "$eq"  => expr(pair._1) === expr(pair._2)
+        case "$lt" if pair._2 == JNull => s"(${e(pair._1)} IS NULL)"
+        case "$gt" if pair._2 == JNull => s"(${e(pair._1)} IS NOT NULL)"
+        case "$eq" if pair._2 == JNull => s"(${e(pair._1)} IS NULL)"
+        case "$eq"  => binary("=")
         // as in MongoDB, a missing value is not equal to any value
-        case "$ne"  => !(expr(pair._1) <=> expr(pair._2))
-        case "$gt"  => expr(pair._1) > expr(pair._2)
-        case "$lt"  => expr(pair._1) < expr(pair._2)
-        case "$gte" => expr(pair._1) >= expr(pair._2)
-        case "$lte" => expr(pair._1) <= expr(pair._2)
-        case "$and" => all.reduce(_ && _)
-        case "$or"  => all.reduce(_ || _)
-        case "$not" => v match {
-          case JArray(List(x)) => !expr(x)
-          case x               => !expr(x)
-        }
-        case "$add"      => expr(pair._1) + expr(pair._2)
-        case "$subtract" => expr(pair._1) - expr(pair._2)
-        case "$multiply" => expr(pair._1) * expr(pair._2)
-        case "$divide"   => expr(pair._1) / expr(pair._2)
-        case "$mod"      => expr(pair._1) % expr(pair._2)
-        case "$toUpper"  => upper(expr(v))
-        case "$toLower"  => lower(expr(v))
-        case "$toInt"    => expr(v).cast("int")
-        case "$toString" => expr(v).cast("string")
+        case "$ne"  => s"(NOT ${binary("<=>")})"
+        case "$gt"  => binary(">")
+        case "$lt"  => binary("<")
+        case "$gte" => binary(">=")
+        case "$lte" => binary("<=")
+        case "$and" => all("AND")
+        case "$or"  => all("OR")
+        case "$not" => s"(NOT ${e(v match { case JArray(List(x)) => x; case x => x })})"
+        case "$add"      => binary("+")
+        case "$subtract" => binary("-")
+        case "$multiply" => binary("*")
+        case "$divide"   => binary("/")
+        case "$mod"      => binary("%")
+        case "$toUpper"  => s"upper(${e(v)})"
+        case "$toLower"  => s"lower(${e(v)})"
+        case "$toInt"    => s"CAST(${e(v)} AS INT)"
+        case "$toString" => s"CAST(${e(v)} AS STRING)"
         case "$cond" => v match {
-          case JArray(List(c, t, e)) => when(expr(c), expr(t)).otherwise(expr(e))
+          case JArray(List(c, t, f)) => s"CASE WHEN ${e(c)} THEN ${e(t)} ELSE ${e(f)} END"
           case o                     => throw MongoError(s"bad $$cond: ${compact(o)}")
         }
-        case "$ifNull" => coalesce(expr(pair._1), expr(pair._2))
+        case "$ifNull" => s"coalesce(${e(pair._1)}, ${e(pair._2)})"
         case other => throw MongoError(s"unsupported operator $other")
       }
     case other => throw MongoError(s"unsupported expression: ${compact(other)}")
   }
 
   /** Accumulator expressions inside $group. */
-  private def accumulator(spec: JObject): Column = {
+  private def accumulator(spec: JObject, cols: Seq[String]): String = {
     val (op, v) = spec.obj.head
     op match {
-      case "$min" => min(expr(v))
-      case "$max" => max(expr(v))
-      case "$avg" => avg(expr(v))
-      case "$stdDevPop" => stddev_pop(expr(v))
+      case "$min" => s"min(${expr(v, cols)})"
+      case "$max" => s"max(${expr(v, cols)})"
+      case "$avg" => s"avg(${expr(v, cols)})"
+      case "$stdDevPop" => s"stddev_pop(${expr(v, cols)})"
       case "$sum" => v match {
-        case Num(n) => sum(lit(n.toLong))
-        case other  => sum(expr(other))
+        case Num(n) => s"sum(${n.toLong}L)"
+        case other  => s"sum(${expr(other, cols)})"
       }
       case other => throw MongoError(s"unsupported accumulator $other")
     }

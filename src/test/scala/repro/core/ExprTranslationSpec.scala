@@ -30,7 +30,8 @@ class ExprTranslationSpec extends AnyFunSuite {
     assert(translate(e, sqlpp)  == """t.lang = "en"""")
     assert(translate(e, sql)    == """t."lang" = 'en'""")
     assert(translate(e, spark)  == "t.lang = 'en'")
-    assert(translate(e, mongo)  == """{ "$eq": [ "$lang", "en" ] }""")
+    // a Mongo string literal is wrapped in $literal, so "$x" stays a string
+    assert(translate(e, mongo)  == """{ "$eq": [ "$lang", { "$literal": "en" } ] }""")
     assert(translate(e, cypher) == """t.lang = "en"""")
   }
 
@@ -107,7 +108,7 @@ class ExprTranslationSpec extends AnyFunSuite {
     val e = PFExpr.Func("to_int", col("string4") === "A")
     assert(translate(e, sql)    == """CAST(t."string4" = 'A' AS INTEGER)""")
     assert(translate(e, spark)  == "CAST(t.string4 = 'A' AS INT)")
-    assert(translate(e, mongo)  == """{ "$toInt": { "$eq": [ "$string4", "A" ] } }""")
+    assert(translate(e, mongo)  == """{ "$toInt": { "$eq": [ "$string4", { "$literal": "A" } ] } }""")
     assert(translate(e, cypher) == """toInteger(t.string4 = "A")""")
   }
 

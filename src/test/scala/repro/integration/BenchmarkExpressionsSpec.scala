@@ -301,6 +301,12 @@ class BenchmarkExpressionsSpec extends SparkSpec {
     }
   }
 
+  test("a string literal that starts with $ is a string, not a field path, on every backend") {
+    forAllBackends { (c, df, _) =>
+      assert(df.filter(col("stringu1") === "$stringu1").count() == 0L, c.name)
+    }
+  }
+
   test("nested expressions on MiniMongo equal DuckDB") {
     val (df, _) = frames(mongoConn)
     import repro.core.PFExpr.{Arith, Cmp, Func, Lit}

@@ -164,6 +164,19 @@ class MiniMongoSpec extends SparkSpec {
     assert(run(p).collect().head.getLong(0) == 1000L)
   }
 
+  test("$lookup + $unwind with preserveNullAndEmptyArrays keeps unmatched left rows") {
+    val p =
+      """[{"$lookup":{"from":"wisconsin2","as":"m","let":{"left":"$unique1"},
+        |"pipeline":[{"$match":{"$expr":{"$eq":["$evenOnePercent","$$left"]}}}]}},
+        |{"$unwind":{"path":"$m","preserveNullAndEmptyArrays":true}}]""".stripMargin.replace("\n", "")
+    val df = run(p)
+    assert(df.columns.toSeq == data.columns.toSeq :+ "m")
+    // the 100 even unique1 values below 200 match 10 rows each; the other 900 rows match none
+    assert(df.count() == 1900L)
+    assert(df.filter("m IS NULL").count() == 900L)
+    assert(df.filter("m.evenOnePercent = unique1").count() == 1000L)
+  }
+
   test("$ne keeps missing values, as MongoDB does") {
     // tenPercent is missing on 100 of the 1000 rows and 4 on 100 others
     assert(run("""[{"$match":{"$expr":{"$ne":["$tenPercent",4]}}},{"$count":"count"}]""")
