@@ -5,6 +5,7 @@ import scala.collection.mutable
 import scala.util.Using
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.types._
+import org.duckdb.DuckDBConnection
 import repro.core.{DatabaseConnector, LanguageConfig, LocalResult}
 import repro.core.languages.Languages
 import repro.cypher.MiniCypher
@@ -69,7 +70,10 @@ final class DuckDbConnector(threads: Int = 1,
   }
 
   /** The one way a table gets into DuckDB: a typed `CREATE TABLE` filled
-    * by `COPY` from a CSV spill of the collected rows.
+    * row by row through DuckDB's Appender from the collected rows. A value
+    * goes in as its JVM type; a decimal as the `DOUBLE` its column has, and
+    * a date or any other value as its text, which DuckDB casts to the
+    * column's type. `append(null: String)` appends NULL.
     */
   override def initialize(namespace: String, collection: String, data: DataFrame): Unit = {
     val table = s"""$namespace."$collection""""
@@ -78,33 +82,23 @@ final class DuckDbConnector(threads: Int = 1,
     update(s"DROP TABLE IF EXISTS $table")
     update(s"CREATE TABLE $table ($cols)")
     val rows = data.collect()
-    // COPY cannot sniff an empty file; an empty table needs no load
-    if (rows.nonEmpty) copyLoad(table, data.columns.length, rows)
-  }
-
-  /** Strings are always quoted, so an empty string is `""` and only an
-    * empty field is NULL (`ALLOW_QUOTED_NULLS false`: DuckDB would
-    * otherwise read `""` as NULL too).
-    */
-  private def copyLoad(table: String, width: Int, rows: Array[org.apache.spark.sql.Row]): Unit = {
-    val tmp = java.nio.file.Files.createTempFile("duckload", ".csv")
-    try {
-      val w = java.nio.file.Files.newBufferedWriter(tmp)
-      try rows.foreach { r =>
-        var i = 0
-        while (i < width) {
-          if (i > 0) w.write(',')
-          r.get(i) match {
-            case null      => // empty field = NULL
-            case s: String => w.write('"'); w.write(s.replace("\"", "\"\"")); w.write('"')
-            case v         => w.write(v.toString)
-          }
-          i += 1
+    Using.resource(conn.unwrap(classOf[DuckDBConnection]).createAppender(namespace, collection)) { app =>
+      rows.foreach { r =>
+        app.beginRow()
+        r.toSeq.foreach {
+          case null                    => app.append(null: String)
+          case v: Long                 => app.append(v)
+          case v: Int                  => app.append(v)
+          case v: Short                => app.append(v)
+          case v: Double               => app.append(v)
+          case v: Float                => app.append(v)
+          case v: Boolean              => app.append(v)
+          case v: java.math.BigDecimal => app.append(v.doubleValue)
+          case v                       => app.append(v.toString)
         }
-        w.write('\n')
-      } finally w.close()
-      update(s"COPY $table FROM '${tmp.toAbsolutePath}' (HEADER false, NULL '', ALLOW_QUOTED_NULLS false)")
-    } finally java.nio.file.Files.deleteIfExists(tmp)
+        app.endRow()
+      }
+    }
   }
 
   override def execute(query: String, baseCollection: String): LocalResult =

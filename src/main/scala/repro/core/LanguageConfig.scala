@@ -108,9 +108,20 @@ object LanguageConfig {
 
   private def literal(v: Any, lang: LanguageConfig): String = v match {
     case null      => lang.template("LITERALS", "null")
-    case s: String => LanguageConfig.substitute(lang.template("LITERALS", "string"), Map("value" -> s))
+    case s: String => substitute(lang.template("LITERALS", "string"), Map("value" -> escape(s, lang)))
     case b: Boolean => b.toString
     case d: Double if d.isWhole => d.toLong.toString
     case other     => other.toString
   }
+
+  /** A string value as it goes between the quotes of `[LITERALS] string`:
+    * each character of `escaped_chars` is written by the `escape` template
+    * (`$char$char` doubles a quote, `\$char` backslash-escapes it). A
+    * configuration without `escaped_chars` ships the value unchanged.
+    */
+  private def escape(s: String, lang: LanguageConfig): String =
+    lang.get("LITERALS", "escaped_chars").fold(s) { chars =>
+      val tpl = lang.template("LITERALS", "escape")
+      s.flatMap(c => if (chars.indexOf(c) >= 0) substitute(tpl, Map("char" -> c.toString)) else c.toString)
+    }
 }

@@ -9,11 +9,20 @@ package repro.core
   * anything. *Actions* (`head`, `count`, `max`, ...) ship the accumulated
   * query through the [[DatabaseConnector]] and return a driver-local
   * [[LocalResult]] (the Pandas-DataFrame analogue).
+  *
+  * A sort waits for the action: the frame keeps its query without the sort
+  * (`unsorted`) and the pending sort key. Only an action knows whether row
+  * order matters, so `head` and `collectAll` apply the `q_sort` rule once,
+  * under their `LIMIT` rule, while counts, aggregates and group-bys use the
+  * unsorted query. An `ORDER BY` in a derived table has no effect on the
+  * outer result in SQL, yet DuckDB and PostgreSQL execute it.
   */
 final class PolyFrame private (
     val connector: DatabaseConnector,
-    /** The underlying query Qi for this frame. */
-    val query: String,
+    /** The underlying query without the pending sort. */
+    private val unsorted: String,
+    /** The pending sort `(attribute, ascending)`, applied by the action. */
+    private val sortKey: Option[(String, Boolean)],
     /** Best-effort known output schema (used by describe/get_dummies). */
     val columns: Seq[String],
     /** Collection the incremental chain started from. */
@@ -27,18 +36,29 @@ final class PolyFrame private (
 ) {
   private def lang: LanguageConfig = connector.lang
 
-  private def derived(q: String, cols: Seq[String], series: Option[String] = None): PolyFrame =
-    new PolyFrame(connector, q, cols, baseCollection, series, isBase = false)
+  /** The underlying query Qi for this frame, its pending sort applied. */
+  lazy val query: String = sortKey.fold(unsorted) { case (attr, ascending) =>
+    val key = if (ascending) "sort_asc_attr" else "sort_desc_attr"
+    lang.sub("QUERIES", "q_sort",
+      "subquery" -> unsorted, "sort_attrs" -> lang.sub("ATTRIBUTES", key, "attribute" -> attr))
+  }
+
+  private def derived(q: String, cols: Seq[String], series: Option[String] = None,
+                      sort: Option[(String, Boolean)] = None): PolyFrame =
+    new PolyFrame(connector, q, sort, cols, baseCollection, series, isBase = false)
 
   // ---------------------------------------------------------------- transformations
 
-  /** Project attributes — `df[['a','b']]`. */
+  /** Project attributes — `df[['a','b']]`. A projection that keeps the
+    * pending sort's key keeps the sort pending.
+    */
   def select(attrs: String*): PolyFrame = {
     require(attrs.nonEmpty, "select needs at least one attribute")
+    val keep  = sortKey.filter { case (attr, _) => attrs.contains(attr) }
     val items = attrs.map(a => lang.sub("ATTRIBUTES", "project_attribute", "attribute" -> a))
     val q = lang.sub("QUERIES", "q_project",
-      "subquery" -> query, "attrs" -> lang.joinFragments(items))
-    derived(q, attrs, series = if (attrs.size == 1) Some(attrs.head) else None)
+      "subquery" -> (if (keep.isDefined) unsorted else query), "attrs" -> lang.joinFragments(items))
+    derived(q, attrs, series = if (attrs.size == 1) Some(attrs.head) else None, sort = keep)
   }
 
   /** Single-attribute projection — `df['a']`. */
@@ -55,11 +75,11 @@ final class PolyFrame private (
     derived(q, Seq(a), series = Some(a))
   }
 
-  /** Row selection — `df[cond]`. */
+  /** Row selection — `df[cond]`. The pending sort stays pending. */
   def filter(cond: PFExpr): PolyFrame = {
     val q = lang.sub("QUERIES", "q_filter",
-      "subquery" -> query, "condition" -> LanguageConfig.translate(cond, lang))
-    derived(q, columns)
+      "subquery" -> unsorted, "condition" -> LanguageConfig.translate(cond, lang))
+    derived(q, columns, sort = sortKey)
   }
 
   /** Element-wise function over a series — `df['s'].map(str.upper)`.
@@ -74,13 +94,11 @@ final class PolyFrame private (
     derived(q, Seq(attr), series = Some(attr))
   }
 
-  /** Sort — `df.sort_values(attr, ascending)`. */
-  def sortValues(attr: String, ascending: Boolean = true): PolyFrame = {
-    val key = if (ascending) "sort_asc_attr" else "sort_desc_attr"
-    val q = lang.sub("QUERIES", "q_sort",
-      "subquery" -> query, "sort_attrs" -> lang.sub("ATTRIBUTES", key, "attribute" -> attr))
-    derived(q, columns)
-  }
+  /** Sort — `df.sort_values(attr, ascending)`. It replaces the pending
+    * sort: Pandas' default sort is not stable, so ties are unspecified.
+    */
+  def sortValues(attr: String, ascending: Boolean = true): PolyFrame =
+    derived(unsorted, columns, sort = Some(attr -> ascending))
 
   /** Group by — `df.groupby(keys)`, combined with [[Grouped.agg]]. */
   def groupBy(keys: String*): PolyFrame.Grouped = PolyFrame.Grouped(this, keys)
@@ -140,14 +158,14 @@ final class PolyFrame private (
   def collectQuery: String = lang.sub("LIMIT", "return_all", "subquery" -> query)
 
   /** The query `count()` ships (when not served from metadata). */
-  def countQuery: String = lang.sub("QUERIES", "q_count_all", "subquery" -> query)
+  def countQuery: String = lang.sub("QUERIES", "q_count_all", "subquery" -> unsorted)
 
   /** The query `aggValue(fn)` ships. */
   def aggValueQuery(fn: String): String = {
     val attr = seriesName.getOrElse(
       throw new IllegalStateException(s"$fn() requires a single-attribute series"))
     val (_, item) = aggItem(fn, attr)
-    val q = lang.sub("QUERIES", "q_agg_value", "subquery" -> query, "aggs" -> item)
+    val q = lang.sub("QUERIES", "q_agg_value", "subquery" -> unsorted, "aggs" -> item)
     lang.sub("LIMIT", "return_all", "subquery" -> q)
   }
 
@@ -187,7 +205,7 @@ final class PolyFrame private (
     val fns   = Seq("min", "max", "avg", "std", "count")
     val items = for (a <- attrs; f <- fns) yield aggItem(f, a)._2
     val q = lang.sub("QUERIES", "q_agg_value",
-      "subquery" -> query, "aggs" -> lang.joinFragments(items))
+      "subquery" -> unsorted, "aggs" -> lang.joinFragments(items))
     connector.run(lang.sub("LIMIT", "return_all", "subquery" -> q), baseCollection)
   }
 }
@@ -201,7 +219,7 @@ object PolyFrame {
             columns: Seq[String] = Nil): PolyFrame = {
     val q = connector.lang.sub("QUERIES", "q_all",
       "namespace" -> namespace, "collection" -> collection)
-    new PolyFrame(connector, q, columns, collection, seriesName = None, isBase = true)
+    new PolyFrame(connector, q, None, columns, collection, seriesName = None, isBase = true)
   }
 
   /** Deferred group-by: `df.groupby(keys).agg(...)`. */
@@ -225,18 +243,18 @@ object PolyFrame {
           val ids      = keys.map(k => lang.sub("GROUPBY", "id_field", "attribute" -> k))
           val restores = keys.map(k => lang.sub("GROUPBY", "restore_field", "attribute" -> k))
           lang.sub("QUERIES", "q_groupby",
-            "subquery"       -> pf.query,
+            "subquery"       -> pf.unsorted,
             "id_fields"      -> lang.joinFragments(ids),
             "aggs"           -> lang.joinFragments(aggAliased),
             "restore_fields" -> lang.joinFragments(restores))
         } else {
           val keyItems = keys.map(k => lang.sub("ATTRIBUTES", "group_key", "attribute" -> k))
           lang.sub("QUERIES", "q_groupby",
-            "subquery"    -> pf.query,
+            "subquery"    -> pf.unsorted,
             "select_list" -> lang.joinFragments(keyItems ++ aggAliased),
             "group_keys"  -> lang.joinFragments(keyItems))
         }
-      new PolyFrame(pf.connector, q, keys ++ aliases, pf.baseCollection, None, isBase = false)
+      new PolyFrame(pf.connector, q, None, keys ++ aliases, pf.baseCollection, None, isBase = false)
     }
   }
 }

@@ -11,7 +11,8 @@ import repro.core.LanguageConfig
   *    q_groupby / q_sort / q_join / q_agg_value / q_count_all
   *  - `[ATTRIBUTES]` reference/alias/sort-item/separator templates
   *  - `[ARITHMETIC|LOGICAL|COMPARISON STATEMENTS]`, `[TYPE CONVERSION]`,
-  *    `[STRING FUNCTIONS]`, `[LITERALS]`, `[FUNCTIONS]` (aggregates),
+  *    `[STRING FUNCTIONS]`, `[LITERALS]` (with the per-language
+  *    `escaped_chars`/`escape` rule for string values), `[FUNCTIONS]` (aggregates),
   *    `[GROUPBY]` (MongoDB-only auxiliaries), `[LIMIT]`
   *
   * `$subquery` always receives the previous operation's underlying query.
@@ -74,6 +75,8 @@ object Languages {
       |
       |[LITERALS]
       |string = "$value"
+      |escaped_chars = \"
+      |escape = \$char
       |null = NULL
       |
       |[FUNCTIONS]
@@ -144,6 +147,8 @@ object Languages {
       |
       |[LITERALS]
       |string = '$value'
+      |escaped_chars = '
+      |escape = $char$char
       |null = NULL
       |
       |[FUNCTIONS]
@@ -164,8 +169,9 @@ object Languages {
     * overrides of the SQL rules (the paper's User-Defined Rewrites).
     * Identifiers are unquoted (temp-view names carry no namespace, so
     * `q_all` references `$collection` directly), types use Spark's names,
-    * and ascending sorts put nulls last as Pandas does (Spark's default
-    * is first; `DESC` already puts them last).
+    * string literals escape `\` and `'` with a backslash (Spark's parser
+    * reads backslash escapes), and ascending sorts put nulls last as Pandas
+    * does (Spark's default is first; `DESC` already puts them last).
     */
   val sparkSql: LanguageConfig = new LanguageConfig("sparksql", sql.withOverrides(
     """[QUERIES]
@@ -186,6 +192,10 @@ object Languages {
       |[TYPE CONVERSION]
       |to_int = CAST($statement AS INT)
       |to_str = CAST($statement AS STRING)
+      |
+      |[LITERALS]
+      |escaped_chars = \'
+      |escape = \$char
       |
       |[FUNCTIONS]
       |min = MIN(t.$attribute)
@@ -269,6 +279,8 @@ object Languages {
       |
       |[LITERALS]
       |string = { "$literal": "$value" }
+      |escaped_chars = \"
+      |escape = \$char
       |null = null
       |
       |[FUNCTIONS]
@@ -350,6 +362,8 @@ object Languages {
       |
       |[LITERALS]
       |string = "$value"
+      |escaped_chars = \"
+      |escape = \$char
       |null = NULL
       |
       |[FUNCTIONS]

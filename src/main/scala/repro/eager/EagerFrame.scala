@@ -140,12 +140,17 @@ final class EagerFrame(
     new EagerFrame(Vector(key, s"max_$attr"), m.map { case (k, v) => Array[Any](k, v.toLong) }.toArray, budget)
   }
 
-  /** Full sorted copy (Pandas sort_values materializes before head). */
+  /** Full sorted copy (Pandas sort_values materializes before head):
+    * strings by their text, other values as numbers, missing values last.
+    */
   def sortDesc(c: String): EagerFrame = {
     val i = idx(c)
-    val sorted = rows.sortBy(r => Option(r(i)).map(toD).getOrElse(Double.NegativeInfinity))(
-      Ordering[Double].reverse)
-    new EagerFrame(columns, sorted, budget)
+    val (present, missing) = rows.partition(_(i) != null)
+    val sorted = present.sortWith((a, b) => (a(i), b(i)) match {
+      case (x: String, y: String) => x > y
+      case (x, y)                 => toD(x) > toD(y)
+    })
+    new EagerFrame(columns, sorted ++ missing, budget)
   }
 
   /** Inner hash equi-join (`pd.merge`). */

@@ -1,6 +1,6 @@
 package repro.connector
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.core.{LocalResult, PolyFrame}
 import repro.wisconsin.WisconsinData
 
@@ -127,6 +127,29 @@ class ConnectorSpec extends SparkSpec {
         c.initialize("Nl", "lines", lines)
         val pf = PolyFrame(c, "Nl", "lines", Seq("k", "s"))
         assert(pf.filter(repro.core.dsl.col("s") === "line1\nline2").count() == 1L, c.name)
+      }
+    } finally duck.close()
+  }
+
+  test("every connector filters on string literals with quotes and backslashes, equal to DuckDB") {
+    import spark.implicits._
+    val values = Seq("it's", "a\\b", "say \"hi\"", "x' OR '1'='1")
+    val quoted = (values ++ Seq("its", "ab", "a\b", "say hi", "x")).zipWithIndex
+      .map { case (s, k) => (k.toLong, s) }.toDF("k", "s")
+    val duck = new DuckDbConnector()
+    try {
+      Seq(new SparkSqlConnector(spark), duck, new MongoConnector(spark), new CypherConnector(spark)).foreach { c =>
+        c.initialize("Qt", "quoted", quoted)
+        val pf = PolyFrame(c, "Qt", "quoted", Seq("k", "s"))
+        values.foreach { v =>
+          withClue(s"${c.name}, $v: ") {
+            val got = pf.filter(repro.core.dsl.col("s") === v).select("k").collectAll()
+            assert(got.size == 1)
+            // standard SQL escapes only the quote, by doubling it
+            Oracle.assertEquivalent(got, s"SELECT k FROM quoted WHERE s = '${v.replace("'", "''")}'",
+              "quoted" -> quoted)
+          }
+        }
       }
     } finally duck.close()
   }

@@ -35,6 +35,19 @@ class ExprTranslationSpec extends AnyFunSuite {
     assert(translate(e, cypher) == """t.lang = "en"""")
   }
 
+  test("a string literal is escaped by its language's [LITERALS] rule") {
+    val e = col("s") === """it's a\b "q""""
+    assert(translate(e, sqlpp)  == """t.s = "it's a\\b \"q\""""")
+    assert(translate(e, sql)    == """t."s" = 'it''s a\b "q"'""")
+    assert(translate(e, spark)  == """t.s = 'it\'s a\\b "q"'""")
+    assert(translate(e, mongo)  == """{ "$eq": [ "$s", { "$literal": "it's a\\b \"q\"" } ] }""")
+    assert(translate(e, cypher) == """t.s = "it's a\\b \"q\""""")
+    // a configuration that declares no escaping ships the value as it is
+    val bare = LanguageConfig("bare", "[ATTRIBUTES]\nsingle_attribute = $attribute\n" +
+      "[COMPARISON STATEMENTS]\neq = $left == $right\n[LITERALS]\nstring = <$value>\n")
+    assert(translate(e, bare) == """s == <it's a\b "q">""")
+  }
+
   test("numeric comparisons") {
     assert(translate(col("ten") === 4, spark)  == "t.ten = 4")
     assert(translate(col("ten") =!= 4, sql)    == """(t."ten" != 4 OR t."ten" IS NULL)""")

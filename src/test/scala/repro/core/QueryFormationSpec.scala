@@ -96,6 +96,68 @@ class QueryFormationSpec extends AnyFunSuite {
     assert(norm(mongoQ) == norm("""{ "$match": {} }, { "$sort": { "unique1": 1 } }"""))
   }
 
+  // ---------------------------------------------------- pending sort
+
+  private val sqlBase = "SELECT * FROM Bench.data t"
+  private def sqlSorted(sub: String, key: String) = s"""SELECT * FROM ($sub) t ORDER BY t."$key""""
+
+  test("a head after sort-filter-sort-filter ships one ORDER BY, on the last key, under the LIMIT") {
+    def chain(lang: LanguageConfig) = base(lang)
+      .sortValues("unique1").filter(col("ten") === 4)
+      .sortValues("unique2", ascending = false).filter(col("two") === 0)
+      .headQuery(5)
+    val sqlQ = norm(chain(Languages.sql))
+    assert(sqlQ == sqlSorted(
+      s"""SELECT t.* FROM (SELECT t.* FROM ($sqlBase) t WHERE t."ten" = 4) t WHERE t."two" = 0""",
+      "unique2") + " DESC LIMIT 5")
+    assert("ORDER BY".r.findAllMatchIn(sqlQ).size == 1)
+    val mongoQ = norm(chain(Languages.mongo))
+    assert("\"\\$sort\"".r.findAllMatchIn(mongoQ).size == 1)
+    assert(mongoQ.endsWith(
+      """{ "$sort": { "unique2": -1 } }, { "$project": { "_id": 0 } }, { "$limit": 5 }"""))
+  }
+
+  test("count, scalar aggregates and group-bys after a sort ship no sort") {
+    Seq(Languages.sql -> "ORDER BY", Languages.mongo -> "$sort").foreach { case (lang, sort) =>
+      val sorted = base(lang).sortValues("two").filter(col("ten") === 4).sortValues("unique1")
+      val texts = Seq(sorted.countQuery, sorted("unique1").aggValueQuery("max"),
+        sorted.groupBy("two").agg("count").query, sorted.groupBy("two").agg("count").collectQuery)
+      texts.foreach(q => assert(!q.contains(sort), s"${lang.name}: $q"))
+    }
+    assert(norm(base(Languages.sql).sortValues("unique1").countQuery) ==
+      s"""SELECT COUNT(*) AS "count" FROM ($sqlBase) t""")
+  }
+
+  test("a select that drops the sort key, a map and a join keep the ORDER BY inside, as before") {
+    val sql = base(Languages.sql).sortValues("unique1")
+    assert(norm(sql.select("two").query) ==
+      s"""SELECT t."two" FROM (${sqlSorted(sqlBase, "unique1")}) t""")
+    val upper = base(Languages.sql).sortValues("stringu1").select("stringu1").map("upper")
+    assert(norm(upper.query) == ("""SELECT upper(t."stringu1") AS "stringu1" FROM (""" +
+      sqlSorted(s"""SELECT t."stringu1" FROM ($sqlBase) t""", "stringu1") + ") t"))
+    val joined = sql.join(base(Languages.sql).sortValues("unique2"), "unique1", "unique1")
+    assert(norm(joined.query) == (s"""SELECT l.*, r.* FROM (${sqlSorted(sqlBase, "unique1")}) l """ +
+      s"""INNER JOIN (${sqlSorted(sqlBase, "unique2")}) r ON l."unique1" = r."unique1""""))
+    val mongo = norm(base(Languages.mongo).sortValues("unique1").select("two").query)
+    assert(mongo == norm("""{ "$match": {} }, { "$sort": { "unique1": 1 } }, { "$project": { "two": 1 } }"""))
+  }
+
+  test("a select that keeps the sort key carries the sort to the outermost query") {
+    val sql = base(Languages.sql).sortValues("unique1").select("unique1", "two")
+    assert(norm(sql.query) == sqlSorted(s"""SELECT t."unique1", t."two" FROM ($sqlBase) t""", "unique1"))
+    val mongo = base(Languages.mongo).sortValues("unique1").select("unique1", "two")
+    assert(norm(mongo.query) ==
+      norm("""{ "$match": {} }, { "$project": { "unique1": 1, "two": 1 } }, { "$sort": { "unique1": 1 } }"""))
+  }
+
+  test("a second sortValues replaces the first; sortValues(...).query is the q_sort rule on the frame") {
+    val sql = base(Languages.sql).sortValues("unique1").sortValues("unique2", ascending = false)
+    assert(norm(sql.query) == sqlSorted(sqlBase, "unique2") + " DESC")
+    assert(norm(base(Languages.sql).sortValues("unique1").query) == sqlSorted(sqlBase, "unique1"))
+    val mongo = base(Languages.mongo).sortValues("unique1").sortValues("unique2", ascending = false)
+    assert(norm(mongo.query) == norm("""{ "$match": {} }, { "$sort": { "unique2": -1 } }"""))
+  }
+
   test("expr 11 (range selection) — Spark SQL shape") {
     val lang = Languages.sparkSql
     val pf = base(lang).filter(col("onePercent") >= 40 && col("onePercent") <= 60)

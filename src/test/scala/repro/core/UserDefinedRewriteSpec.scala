@@ -29,8 +29,11 @@ class UserDefinedRewriteSpec extends AnyFunSuite {
     assert(spark.sections.keySet == sql.sections.keySet)
     Seq("q_project", "q_filter", "q_groupby", "q_sort", "q_agg_value").foreach(k =>
       assert(spark.template("QUERIES", k) == sql.template("QUERIES", k), k))
-    Seq("COMPARISON STATEMENTS", "LITERALS", "LIMIT").foreach(sec =>
+    Seq("COMPARISON STATEMENTS", "LIMIT").foreach(sec =>
       assert(spark.sections(sec) == sql.sections(sec), sec))
+    // same literal templates; Spark's parser reads backslash escapes, so its strings escape `\` and `'` with one
+    Seq("string", "null").foreach(k => assert(spark.template("LITERALS", k) == sql.template("LITERALS", k), k))
+    assert(spark.template("LITERALS", "escaped_chars") == "\\'" && spark.template("LITERALS", "escape") == "\\$char")
     assert(spark.template("ATTRIBUTES", "sort_asc_attr") == "t.$attribute NULLS LAST")
     assert(spark.template("TYPE CONVERSION", "to_str") == "CAST($statement AS STRING)")
   }

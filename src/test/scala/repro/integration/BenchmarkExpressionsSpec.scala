@@ -4,6 +4,7 @@ import repro.{Oracle, SparkSpec}
 import repro.connector._
 import repro.core.dsl._
 import repro.core.{DatabaseConnector, LocalResult, PolyFrame}
+import repro.eager.{EagerFrame, MemoryBudget}
 import repro.wisconsin.WisconsinData
 
 /** End-to-end correctness of the 13 benchmark expressions (Table III) on
@@ -332,5 +333,61 @@ class BenchmarkExpressionsSpec extends SparkSpec {
       // largest unique1 ≡ 4 (mod 10) below N=2000 is 1994
       assert(got == Seq(1994L, 1984L, 1974L), c.name)
     }
+  }
+
+  // ------------------------------------------------ sorts wait for the action
+
+  private lazy val eager =
+    new EagerFrame(data.columns.toVector, data.collect().map(_.toSeq.toArray[Any]), MemoryBudget.unlimited)
+
+  /** The values of `attr` in row order. */
+  private def keys(r: LocalResult, attr: String): Seq[Any] = {
+    val i = r.columns.map(_.toLowerCase).indexOf(attr.toLowerCase)
+    r.rows.map(row => LocalResult.normalize(row(i)))
+  }
+
+  private def local(e: EagerFrame) = LocalResult(e.columns, e.rows.toSeq.map(_.toSeq))
+
+  /** A head chain gives EagerFrame's values of `attr`, in order, on every backend. */
+  private def headAgrees(attr: String)(pf: PolyFrame => LocalResult)(ef: EagerFrame => EagerFrame): Unit = {
+    val want = keys(local(ef(eager)), attr)
+    assert(want.size == 5)
+    forAllBackends { (c, df, _) => assert(keys(pf(df), attr) == want, c.name) }
+  }
+
+  private def tenIs4(e: EagerFrame) = e.filter(e.maskEq("ten", 4))
+
+  test("heads after sort→filter, sort→filter→sort→select, sort→select and sort→map agree with EagerFrame") {
+    headAgrees("unique1")(_.sortValues("unique1", ascending = false).filter(col("ten") === 4).head(5))(
+      e => tenIs4(e.sortDesc("unique1")).head(5))
+    headAgrees("unique2")(_.sortValues("unique1", ascending = false).filter(col("ten") === 4)
+      .sortValues("unique2", ascending = false).select("unique2", "ten").head(5))(
+      e => tenIs4(e.sortDesc("unique1")).sortDesc("unique2").select("unique2", "ten").head(5))
+    // the select drops the key, so the sort runs inside it
+    headAgrees("unique2")(_.sortValues("unique1", ascending = false).select("unique2").head(5))(
+      _.sortDesc("unique1").select("unique2").head(5))
+    headAgrees("stringu1")(_.sortValues("stringu1", ascending = false).select("stringu1").map("upper").head(5))(
+      _.sortDesc("stringu1").mapUpper("stringu1").head(5))
+  }
+
+  test("a count and a group-by after a sort agree with EagerFrame on every backend") {
+    val want = local(eager.sortDesc("unique1").groupByCount("twenty")).canonicalRows
+    forAllBackends { (c, df, _) =>
+      val sorted = df.sortValues("unique1", ascending = false)
+      assert(sorted.filter(col("ten") === 4).count() == tenIs4(eager.sortDesc("unique1")).length, c.name)
+      assert(sorted.groupBy("twenty").agg("count").collectAll().canonicalRows == want, c.name)
+    }
+  }
+
+  test("DuckDB runs one sort for a head over a 3-sort chain and none for its count") {
+    val (df, _) = frames(duckConn)
+    val chain = df.sortValues("unique1").filter(col("ten") === 4)
+      .sortValues("stringu1", ascending = false).filter(col("two") === 0).sortValues("unique2")
+    def sortOperators(q: String): Int = {
+      val plan = duckConn.execute(s"EXPLAIN $q", "wisconsin").rows.map(_.last.toString).mkString("\n")
+      "ORDER_BY|TOP_N".r.findAllMatchIn(plan).size
+    }
+    assert(sortOperators(chain.headQuery(5)) == 1)
+    assert(sortOperators(chain.countQuery) == 0)
   }
 }
