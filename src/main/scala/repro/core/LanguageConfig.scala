@@ -88,6 +88,9 @@ object LanguageConfig {
     case PFExpr.Attr(name) =>
       lang.sub("ATTRIBUTES", "single_attribute", "attribute" -> name)
     case PFExpr.Lit(v) => literal(v, lang)
+    // Pandas: `x == None` is false and `x != None` true for every row, missing or not
+    case PFExpr.Cmp(op @ ("eq" | "ne"), l, r) if l == PFExpr.Lit(null) || r == PFExpr.Lit(null) =>
+      literal(op == "ne", lang)
     case PFExpr.Cmp(op, l, r) =>
       lang.sub("COMPARISON STATEMENTS", op, "left" -> translate(l, lang), "right" -> translate(r, lang))
     case PFExpr.Arith(op, l, r) =>
@@ -99,10 +102,9 @@ object LanguageConfig {
     case PFExpr.IsNa(x) =>
       lang.sub("COMPARISON STATEMENTS", "isna", "left" -> translate(x, lang))
     case PFExpr.Func(fn, x) =>
-      val section =
-        if (lang.has("STRING FUNCTIONS", fn)) "STRING FUNCTIONS"
-        else if (lang.has("TYPE CONVERSION", fn)) "TYPE CONVERSION"
-        else "FUNCTIONS"
+      val section = Seq("STRING FUNCTIONS", "TYPE CONVERSION").find(lang.has(_, fn)).getOrElse(
+        throw new NoSuchElementException(
+          s"language '${lang.name}' has no scalar function '$fn' in [STRING FUNCTIONS] or [TYPE CONVERSION]"))
       lang.sub(section, fn, "statement" -> translate(x, lang))
   }
 

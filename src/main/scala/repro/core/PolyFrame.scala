@@ -75,11 +75,13 @@ final class PolyFrame private (
     derived(q, Seq(a), series = Some(a))
   }
 
-  /** Row selection — `df[cond]`. The pending sort stays pending. */
+  /** Row selection — `df[cond]`. The pending sort stays pending, and a
+    * filtered series is still a series (`s[s > 1].max()`).
+    */
   def filter(cond: PFExpr): PolyFrame = {
     val q = lang.sub("QUERIES", "q_filter",
       "subquery" -> unsorted, "condition" -> LanguageConfig.translate(cond, lang))
-    derived(q, columns, sort = sortKey)
+    derived(q, columns, seriesName, sortKey)
   }
 
   /** Element-wise function over a series — `df['s'].map(str.upper)`.
@@ -96,9 +98,10 @@ final class PolyFrame private (
 
   /** Sort — `df.sort_values(attr, ascending)`. It replaces the pending
     * sort: Pandas' default sort is not stable, so ties are unspecified.
+    * A sorted series is still a series.
     */
   def sortValues(attr: String, ascending: Boolean = true): PolyFrame =
-    derived(unsorted, columns, sort = Some(attr -> ascending))
+    derived(unsorted, columns, seriesName, Some(attr -> ascending))
 
   /** Group by — `df.groupby(keys)`, combined with [[Grouped.agg]]. */
   def groupBy(keys: String*): PolyFrame.Grouped = PolyFrame.Grouped(this, keys)
@@ -234,26 +237,18 @@ object PolyFrame {
     /** `groupby(k)['a'].agg(fn)`. */
     def agg(fn: String, attr: String): PolyFrame = aggImpl(Seq(fn -> attr))
 
+    /** One path for every language: `group_key` names each key in the
+      * grouping clause, `group_output` carries it in the result.
+      */
     private def aggImpl(items: Seq[(String, String)]): PolyFrame = {
       val lang = pf.connector.lang
       val (aliases, aggAliased) = items.map { case (fn, attr) => pf.aggItem(fn, attr) }.unzip
-      val q =
-        if (lang.has("GROUPBY", "id_field")) {
-          // MongoDB shape: group under _id, restore keys, drop _id.
-          val ids      = keys.map(k => lang.sub("GROUPBY", "id_field", "attribute" -> k))
-          val restores = keys.map(k => lang.sub("GROUPBY", "restore_field", "attribute" -> k))
-          lang.sub("QUERIES", "q_groupby",
-            "subquery"       -> pf.unsorted,
-            "id_fields"      -> lang.joinFragments(ids),
-            "aggs"           -> lang.joinFragments(aggAliased),
-            "restore_fields" -> lang.joinFragments(restores))
-        } else {
-          val keyItems = keys.map(k => lang.sub("ATTRIBUTES", "group_key", "attribute" -> k))
-          lang.sub("QUERIES", "q_groupby",
-            "subquery"    -> pf.unsorted,
-            "select_list" -> lang.joinFragments(keyItems ++ aggAliased),
-            "group_keys"  -> lang.joinFragments(keyItems))
-        }
+      def rule(key: String) = lang.joinFragments(keys.map(k => lang.sub("ATTRIBUTES", key, "attribute" -> k)))
+      val q = lang.sub("QUERIES", "q_groupby",
+        "subquery"    -> pf.unsorted,
+        "keys"        -> rule("group_key"),
+        "key_outputs" -> rule("group_output"),
+        "aggs"        -> lang.joinFragments(aggAliased))
       new PolyFrame(pf.connector, q, None, keys ++ aliases, pf.baseCollection, None, isBase = false)
     }
   }

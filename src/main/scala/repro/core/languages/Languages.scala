@@ -9,11 +9,13 @@ import repro.core.LanguageConfig
   *
   *  - `[QUERIES]` q_all / q_project / q_project_value / q_filter /
   *    q_groupby / q_sort / q_join / q_agg_value / q_count_all
-  *  - `[ATTRIBUTES]` reference/alias/sort-item/separator templates
-  *  - `[ARITHMETIC|LOGICAL|COMPARISON STATEMENTS]`, `[TYPE CONVERSION]`,
-  *    `[STRING FUNCTIONS]`, `[LITERALS]` (with the per-language
-  *    `escaped_chars`/`escape` rule for string values), `[FUNCTIONS]` (aggregates),
-  *    `[GROUPBY]` (MongoDB-only auxiliaries), `[LIMIT]`
+  *  - `[ATTRIBUTES]` reference/alias/sort-item/separator templates, and the
+  *    group-by pair: `group_key` names a key in the grouping clause
+  *    (`$keys`), `group_output` carries it in the result (`$key_outputs`)
+  *  - `[ARITHMETIC|LOGICAL|COMPARISON STATEMENTS]`, `[TYPE CONVERSION]` and
+  *    `[STRING FUNCTIONS]` (the only scalar functions, e.g. for `map`),
+  *    `[LITERALS]` (with the per-language `escaped_chars`/`escape` rule
+  *    for string values), `[FUNCTIONS]` (aggregates), `[LIMIT]`
   *
   * `$subquery` always receives the previous operation's underlying query.
   * MongoDB "queries" are comma-separated aggregation-pipeline stages; its
@@ -28,7 +30,7 @@ object Languages {
       |q_project = SELECT $attrs FROM ($subquery) t
       |q_project_value = SELECT VALUE $statement FROM ($subquery) t
       |q_filter = SELECT VALUE t FROM ($subquery) t WHERE $condition
-      |q_groupby = SELECT $select_list FROM ($subquery) t GROUP BY $group_keys
+      |q_groupby = SELECT $key_outputs, $aggs FROM ($subquery) t GROUP BY $keys
       |q_sort = SELECT VALUE t FROM ($subquery) t ORDER BY $sort_attrs
       |q_join = SELECT l, r FROM ($subquery) l JOIN ($right_subquery) r ON l.$left_on = r.$right_on
       |q_agg_value = SELECT $aggs FROM ($subquery) t
@@ -39,6 +41,7 @@ object Languages {
       |project_attribute = t.$attribute
       |attribute_alias = $statement AS $alias
       |group_key = t.$attribute
+      |group_output = t.$attribute
       |agg_alias = $agg AS $alias
       |sort_asc_attr = t.$attribute
       |sort_desc_attr = t.$attribute DESC
@@ -100,7 +103,7 @@ object Languages {
       |q_project = SELECT $attrs FROM ($subquery) t
       |q_project_value = SELECT $statement AS "$alias" FROM ($subquery) t
       |q_filter = SELECT t.* FROM ($subquery) t WHERE $condition
-      |q_groupby = SELECT $select_list FROM ($subquery) t GROUP BY $group_keys
+      |q_groupby = SELECT $key_outputs, $aggs FROM ($subquery) t GROUP BY $keys
       |q_sort = SELECT * FROM ($subquery) t ORDER BY $sort_attrs
       |q_join = SELECT l.*, r.* FROM ($subquery) l INNER JOIN ($right_subquery) r ON l."$left_on" = r."$right_on"
       |q_agg_value = SELECT $aggs FROM ($subquery) t
@@ -111,6 +114,7 @@ object Languages {
       |project_attribute = t."$attribute"
       |attribute_alias = $statement AS "$alias"
       |group_key = t."$attribute"
+      |group_output = t."$attribute"
       |agg_alias = $agg AS "$alias"
       |sort_asc_attr = t."$attribute"
       |sort_desc_attr = t."$attribute" DESC
@@ -185,6 +189,7 @@ object Languages {
       |project_attribute = t.$attribute
       |attribute_alias = $statement AS $alias
       |group_key = t.$attribute
+      |group_output = t.$attribute
       |agg_alias = $agg AS $alias
       |sort_asc_attr = t.$attribute NULLS LAST
       |sort_desc_attr = t.$attribute DESC
@@ -221,8 +226,8 @@ object Languages {
       |q_filter = $subquery,
       | { "$match": { "$expr": $condition } }
       |q_groupby = $subquery,
-      | { "$group": { "_id": { $id_fields }, $aggs } },
-      | { "$addFields": { $restore_fields } },
+      | { "$group": { "_id": { $keys }, $aggs } },
+      | { "$addFields": { $key_outputs } },
       | { "$project": { "_id": 0 } }
       |q_sort = $subquery,
       | { "$sort": { $sort_attrs } }
@@ -239,14 +244,12 @@ object Languages {
       |single_attribute = "$$attribute"
       |project_attribute = "$attribute": 1
       |attribute_alias = "$alias": $statement
+      |group_key = "$attribute": "$$attribute"
+      |group_output = "$attribute": "$_id.$attribute"
       |agg_alias = "$alias": { $agg }
       |sort_asc_attr = "$attribute": 1
       |sort_desc_attr = "$attribute": -1
       |attribute_separator = $left, $right
-      |
-      |[GROUPBY]
-      |id_field = "$attribute": "$$attribute"
-      |restore_field = "$attribute": "$_id.$attribute"
       |
       |[ARITHMETIC STATEMENTS]
       |add = { "$add": [ $left, $right ] }
@@ -310,7 +313,7 @@ object Languages {
       |q_filter = $subquery
       | WITH t WHERE $condition
       |q_groupby = $subquery
-      | WITH { $select_list } AS t
+      | WITH { $key_outputs, $aggs } AS t
       |q_sort = $subquery
       | WITH t ORDER BY $sort_attrs
       |q_join = $subquery
@@ -325,7 +328,8 @@ object Languages {
       |single_attribute = t.$attribute
       |project_attribute = '$attribute': t.$attribute
       |attribute_alias = '$alias': $statement
-      |group_key = '$attribute': t.$attribute
+      |group_key = t.$attribute
+      |group_output = '$attribute': t.$attribute
       |agg_alias = '$alias': $agg
       |sort_asc_attr = t.$attribute
       |sort_desc_attr = t.$attribute DESC

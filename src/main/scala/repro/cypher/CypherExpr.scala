@@ -235,7 +235,6 @@ object CypherExpr {
     case "lower"     => s"lower(${toSql(args.head)})"
     case "tointeger" => s"CAST(${toSql(args.head)} AS BIGINT)"
     case "tostring"  => s"CAST(${toSql(args.head)} AS STRING)"
-    case "abs"       => s"abs(${toSql(args.head)})"
     case other       => throw CypherParseError(s"unsupported function $other")
   }
 

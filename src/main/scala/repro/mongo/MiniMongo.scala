@@ -20,22 +20,21 @@ import repro.util.SparkSql.{Query, ident, number, string, view}
   * resolves a field path: `$a.b` names the field `a.b` when one exists,
   * else field `b` inside `a` (as `$_id.k` does after `$group`).
   *
-  * Supported stages: $match (empty, $expr, simple equality), $project
-  * (include / computed / exclude), $addFields, $group (struct `_id` +
-  * accumulators, restored via $addFields exactly as the rewrites emit; the
-  * group runs on the key expressions and `_id` is built afterwards),
-  * $sort, $limit, $count, $lookup (let/pipeline correlated form) and
-  * $unwind. A `$lookup` followed by an `$unwind` of its `as` field that
-  * drops unmatched documents (`preserveNullAndEmptyArrays: false`) runs as
-  * one inner equi-join with the right document under `as`, as MongoDB's
-  * optimizer coalesces the pair; any other `$lookup` is a left join to the
-  * right documents collected per key.
+  * Supported stages, the ones the rules emit: $match (empty, or `$expr`
+  * alone), $project (include / computed / exclude), $addFields, $group
+  * (struct `_id` + accumulators, restored via $addFields exactly as the
+  * rewrites emit; the group runs on the key expressions and `_id` is built
+  * afterwards), $sort, $limit, $count, and $lookup (let/pipeline
+  * correlated form) directly followed by an `$unwind` of its `as` field
+  * that drops unmatched documents (`preserveNullAndEmptyArrays: false`).
+  * The pair runs as one inner equi-join with the right document under
+  * `as`, as MongoDB's optimizer coalesces it; any other $lookup or
+  * $unwind raises [[MongoError]].
   *
   * Expression operators: field paths (`$a`, `$_id.a`), $literal, $eq/$ne/
   * $gt/$lt/$gte/$lte (with MongoDB's `<op> null` missing-data idioms),
   * $and/$or/$not, $add/$subtract/$multiply/$divide/$mod, $toUpper/$toLower/
-  * $toInt/$toString, $cond, $ifNull; accumulators $min/$max/$avg/$sum/
-  * $stdDevPop.
+  * $toInt/$toString, $cond; accumulators $min/$max/$avg/$sum/$stdDevPop.
   */
 object MiniMongo {
 
@@ -88,7 +87,7 @@ object MiniMongo {
         case (("$lookup", spec: JObject), ("$unwind", unwind: JObject))
             if str(unwind \ "path") == "$" + str(spec \ "as") &&
                unwind \ "preserveNullAndEmptyArrays" != JBool(true) =>
-          lower(lookup(rel, spec, coalesced = true, collections), rest, collections)
+          lower(lookup(rel, spec, collections), rest, collections)
         case (st, _) => lower(stage(rel, st, collections), u :: rest, collections)
       }
       case s :: rest => lower(stage(rel, stageObj(s), collections), rest, collections)
@@ -103,13 +102,7 @@ object MiniMongo {
 
   private def stage(rel: Rel, stage: (String, JValue), collections: String => DataFrame): Rel = stage match {
     case ("$match", JObject(Nil)) => rel
-    case ("$match", o: JObject) =>
-      val cond = o \ "$expr" match {
-        // simple equality document: { field: value, ... }
-        case JNothing => o.obj.map { case (f, v) => s"${field(f, rel.cols)} = ${literal(v)}" }.mkString(" AND ")
-        case e        => expr(e, rel.cols)
-      }
-      rel.next(_.filter(cond))
+    case ("$match", JObject(List(("$expr", cond)))) => rel.next(_.filter(expr(cond, rel.cols)))
 
     case ("$project", JObject(fields)) =>
       val kept = fields.filter { case (_, Num(0.0)) => false; case _ => true }
@@ -153,23 +146,19 @@ object MiniMongo {
 
     case ("$count", JString(name)) => rel.select(s"COUNT(1) AS ${ident(name)}", out = Vector(name))
 
-    case ("$lookup", spec: JObject) => lookup(rel, spec, coalesced = false, collections)
-
-    case ("$unwind", spec: JObject) =>
-      val path = str(spec \ "path").stripPrefix("$")
-      val fn = if (spec \ "preserveNullAndEmptyArrays" == JBool(true)) "explode_outer" else "explode"
-      withField(rel, path, s"$fn(${field(path, rel.cols)})")
+    case ("$lookup", _) => throw MongoError(
+      "$lookup must be directly followed by an $unwind of its as field with preserveNullAndEmptyArrays false")
 
     case (op, v) => throw MongoError(s"unsupported stage $op: ${compact(v)}")
   }
 
-  /** Correlated `$lookup`: stages of the sub-pipeline that reference a
-    * `$$variable` become the equi-join condition; the remaining stages are
-    * applied to the foreign collection first (as MongoDB would). Left
-    * fields come first, then the right document(s) under `as`.
+  /** Correlated `$lookup` + `$unwind` as one inner join: stages of the
+    * sub-pipeline that reference a `$$variable` become the equi-join
+    * condition; the remaining stages are applied to the foreign collection
+    * first (as MongoDB would). Left fields come first, then the right
+    * document under `as`.
     */
-  private def lookup(left: Rel, spec: JObject, coalesced: Boolean,
-                     collections: String => DataFrame): Rel = {
+  private def lookup(left: Rel, spec: JObject, collections: String => DataFrame): Rel = {
     val asName = str(spec \ "as")
     val letVars: Map[String, String] = spec \ "let" match {
       case JObject(fs) => fs.map { case (k, v) => k -> str(v).stripPrefix("$") }.toMap
@@ -199,22 +188,12 @@ object MiniMongo {
     if (joinKeys.isEmpty) throw MongoError("$lookup without a correlated predicate")
     val right = lower(from(collections(str(spec \ "from"))), plain, collections)
 
-    def document(q: String) =
-      s"named_struct(${list(right.cols.map(c => s"${string(c)}, ${field(c, right.cols, q)}"))})"
-    def joined(join: String, rightSql: String, rightKey: String => String, value: String): Rel = {
-      val on = joinKeys.map { case (rf, lf) => s"${field(lf, left.cols, "`__left`")} = ${rightKey(rf)}" }
-      val items = left.cols.map(c => s"`__left`.${ident(c)}") :+ s"$value AS ${ident(asName)}"
-      val from = s"(\n${left.sql}\n) `__left` $join (\n$rightSql\n) `__right` ON ${on.mkString(" AND ")}"
-      Rel(Query(from, list(items)), left.cols :+ asName)
-    }
-    if (coalesced) joined("JOIN", right.sql, field(_, right.cols, "`__right`"), document("`__right`"))
-    else {
-      val keys = joinKeys.map { case (rf, _) => field(rf, right.cols) -> ident("__mk_" + rf) }
-      val grouped = right.select(
-        list(keys.map { case (k, mk) => s"$k AS $mk" } :+ s"collect_list(${document("")}) AS `__docs`"),
-        list(keys.map(_._1)))
-      joined("LEFT JOIN", grouped.sql, rf => s"`__right`.${ident("__mk_" + rf)}", "`__right`.`__docs`")
-    }
+    def rightField(c: String) = field(c, right.cols, "`__right`")
+    val on = joinKeys.map { case (rf, lf) => s"${field(lf, left.cols, "`__left`")} = ${rightField(rf)}" }
+    val document = s"named_struct(${list(right.cols.map(c => s"${string(c)}, ${rightField(c)}"))})"
+    val items = left.cols.map(c => s"`__left`.${ident(c)}") :+ s"$document AS ${ident(asName)}"
+    val joined = s"(\n${left.sql}\n) `__left` JOIN (\n${right.sql}\n) `__right` ON ${on.mkString(" AND ")}"
+    Rel(Query(joined, list(items)), left.cols :+ asName)
   }
 
   /** A field path over the fields `cols`, optionally qualified by a relation alias. */
@@ -277,7 +256,6 @@ object MiniMongo {
           case JArray(List(c, t, f)) => s"CASE WHEN ${e(c)} THEN ${e(t)} ELSE ${e(f)} END"
           case o                     => throw MongoError(s"bad $$cond: ${compact(o)}")
         }
-        case "$ifNull" => s"coalesce(${e(pair._1)}, ${e(pair._2)})"
         case other => throw MongoError(s"unsupported operator $other")
       }
     case other => throw MongoError(s"unsupported expression: ${compact(other)}")
@@ -291,10 +269,7 @@ object MiniMongo {
       case "$max" => s"max(${expr(v, cols)})"
       case "$avg" => s"avg(${expr(v, cols)})"
       case "$stdDevPop" => s"stddev_pop(${expr(v, cols)})"
-      case "$sum" => v match {
-        case Num(n) => s"sum(${n.toLong}L)"
-        case other  => s"sum(${expr(other, cols)})"
-      }
+      case "$sum" => s"sum(${expr(v, cols)})"
       case other => throw MongoError(s"unsupported accumulator $other")
     }
   }

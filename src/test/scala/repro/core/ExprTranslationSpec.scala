@@ -126,9 +126,14 @@ class ExprTranslationSpec extends AnyFunSuite {
   }
 
   test("null literal") {
-    assert(translate(col("a") === null, spark) == "t.a = NULL")
-    assert(translate(PFExpr.Cmp("eq", col("a"), PFExpr.Lit(null)), mongo)
-      == """{ "$eq": [ "$a", null ] }""")
+    // as in Pandas, `x == None` is false and `x != None` true on every row
+    for (lang <- Languages.all.values) {
+      assert(translate(col("a") === null, lang) == "false", lang.name)
+      assert(translate(col("a") =!= null, lang) == "true", lang.name)
+      assert(translate(PFExpr.Cmp("eq", PFExpr.Lit(null), col("a")), lang) == "false", lang.name)
+    }
+    assert(translate(PFExpr.Func("to_str", PFExpr.Lit(null)), spark) == "CAST(NULL AS STRING)")
+    assert(translate(PFExpr.Func("to_str", PFExpr.Lit(null)), mongo) == """{ "$toString": null }""")
   }
 
   test("whole double literals render as integers") {
@@ -162,5 +167,12 @@ class ExprTranslationSpec extends AnyFunSuite {
   test("missing rule raises a clear error") {
     val ex = intercept[NoSuchElementException](translate(PFExpr.Func("soundex", col("s")), spark))
     assert(ex.getMessage.contains("soundex"))
+  }
+
+  test("an aggregate is not a scalar function: map(\"max\") raises, naming it, in every config") {
+    for (lang <- Languages.all.values) {
+      val ex = intercept[NoSuchElementException](TestSupport.frame(lang)("name").map("max"))
+      assert(ex.getMessage.contains("'max'"), lang.name)
+    }
   }
 }

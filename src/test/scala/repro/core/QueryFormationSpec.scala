@@ -212,6 +212,17 @@ class QueryFormationSpec extends AnyFunSuite {
     assert(pf.filter(col("ten") === 4).columns == pf.columns)
   }
 
+  test("a filtered or sorted series is still a series") {
+    val sql = base(Languages.sql)
+    val filtered = sql("unique1").filter(col("unique1") > 1)
+    assert(filtered.seriesName.contains("unique1"))
+    assert(norm(filtered.aggValueQuery("max")) == ("""SELECT MAX(t."unique1") AS "max_unique1" FROM """ +
+      """(SELECT t.* FROM (SELECT t."unique1" FROM (SELECT * FROM Bench.data t) t) t WHERE t."unique1" > 1) t"""))
+    val mapped = sql("stringu1").sortValues("stringu1").map("upper")
+    assert(norm(mapped.query) == ("""SELECT upper(t."stringu1") AS "stringu1" FROM """ +
+      """(SELECT * FROM (SELECT t."stringu1" FROM (SELECT * FROM Bench.data t) t) t ORDER BY t."stringu1") t"""))
+  }
+
   test("series-only operations reject non-series frames") {
     val pf = base(Languages.sparkSql)
     intercept[IllegalStateException](pf.map("upper"))

@@ -82,6 +82,7 @@ class RewriteRuleSpec extends AnyFunSuite {
       Seq("limit", "return_all").foreach(k => assert(lang.has("LIMIT", k), s"$name missing $k"))
       Seq("to_int", "to_str").foreach(k => assert(lang.has("TYPE CONVERSION", k), s"$name missing $k"))
       Seq("upper", "lower").foreach(k => assert(lang.has("STRING FUNCTIONS", k), s"$name missing $k"))
+      Seq("group_key", "group_output").foreach(k => assert(lang.has("ATTRIBUTES", k), s"$name missing $k"))
     }
   }
 

@@ -302,6 +302,21 @@ class BenchmarkExpressionsSpec extends SparkSpec {
     }
   }
 
+  test("x == None keeps no row and x != None every row on every backend, as Pandas does") {
+    forAllBackends { (c, df, _) =>
+      // tenPercent is missing on 10% of the rows
+      assert(df.filter(col("tenPercent") === null).count() == 0L, c.name)
+      assert(df.filter(col("tenPercent") =!= null).count() == N, c.name)
+    }
+  }
+
+  test("a filtered series aggregates and a sorted series maps on DuckDB") {
+    val (df, _) = frames(duckConn)
+    assert(df("unique1").filter(col("unique1") < 100).max() == 99.0)
+    val upper = df("stringu1").sortValues("stringu1", ascending = false).map("upper").head(5)
+    assert(keys(upper, "stringu1") == keys(local(eager.sortDesc("stringu1").mapUpper("stringu1").head(5)), "stringu1"))
+  }
+
   test("a string literal that starts with $ is a string, not a field path, on every backend") {
     forAllBackends { (c, df, _) =>
       assert(df.filter(col("stringu1") === "$stringu1").count() == 0L, c.name)

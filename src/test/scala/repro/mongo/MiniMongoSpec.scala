@@ -25,10 +25,6 @@ class MiniMongoSpec extends SparkSpec {
     assert(run("""[{"$match":{"$expr":{"$eq":["$ten",4]}}}]""").count() == 100)
   }
 
-  test("$match with simple equality document") {
-    assert(run("""[{"$match":{"ten":4}}]""").count() == 100)
-  }
-
   test("$match $expr with $and chain (expression 3)") {
     val p = """[{"$match":{}},{"$match":{"$expr":{"$and":[{"$and":[
               |{"$eq":["$ten",4]},{"$eq":["$twentyPercent",4]}]},
@@ -164,17 +160,13 @@ class MiniMongoSpec extends SparkSpec {
     assert(run(p).collect().head.getLong(0) == 1000L)
   }
 
-  test("$lookup + $unwind with preserveNullAndEmptyArrays keeps unmatched left rows") {
-    val p =
-      """[{"$lookup":{"from":"wisconsin2","as":"m","let":{"left":"$unique1"},
-        |"pipeline":[{"$match":{"$expr":{"$eq":["$evenOnePercent","$$left"]}}}]}},
-        |{"$unwind":{"path":"$m","preserveNullAndEmptyArrays":true}}]""".stripMargin.replace("\n", "")
-    val df = run(p)
-    assert(df.columns.toSeq == data.columns.toSeq :+ "m")
-    // the 100 even unique1 values below 200 match 10 rows each; the other 900 rows match none
-    assert(df.count() == 1900L)
-    assert(df.filter("m IS NULL").count() == 900L)
-    assert(df.filter("m.evenOnePercent = unique1").count() == 1000L)
+  test("a lone $lookup and a $lookup + preserving $unwind raise MongoError") {
+    val lookup = """{"$lookup":{"from":"wisconsin2","as":"m","let":{"left":"$unique1"},""" +
+      """"pipeline":[{"$match":{"$expr":{"$eq":["$evenOnePercent","$$left"]}}}]}}"""
+    intercept[MiniMongo.MongoError](run("[" + lookup + "]"))
+    intercept[MiniMongo.MongoError](run("[" + lookup + """,{"$count":"count"}]"""))
+    intercept[MiniMongo.MongoError](
+      run("[" + lookup + """,{"$unwind":{"path":"$m","preserveNullAndEmptyArrays":true}}]"""))
   }
 
   test("$ne keeps missing values, as MongoDB does") {
@@ -198,6 +190,8 @@ class MiniMongoSpec extends SparkSpec {
 
   test("unsupported stage raises MongoError") {
     intercept[MiniMongo.MongoError](run("""[{"$facet":{}}]"""))
+    // a $match other than {} holds only $expr
+    intercept[MiniMongo.MongoError](run("""[{"$match":{"ten":4}}]"""))
   }
 
   test("malformed stage (two keys) raises MongoError") {
