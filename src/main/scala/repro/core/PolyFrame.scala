@@ -3,24 +3,37 @@ package repro.core
 /** PolyFrame: a Pandas-like dataframe whose operations incrementally
   * compose queries in a target language, evaluated lazily.
   *
-  * Every *transformation* takes this frame's underlying query `Qi` and
-  * produces a new frame whose query `Qi+1` embeds `Qi` via the language's
-  * `$subquery` slot — recording the order of operations without executing
-  * anything. *Actions* (`head`, `count`, `max`, ...) ship the accumulated
-  * query through the [[DatabaseConnector]] and return a driver-local
-  * [[LocalResult]] (the Pandas-DataFrame analogue).
+  * A *transformation* produces a new frame whose query `Qi+1` embeds `Qi`
+  * via the language's `$subquery` slot — recording the order of operations
+  * without executing anything. `Qi+1` embeds `Qi` per run of operations,
+  * not per step: a frame keeps a base query and three pending steps, which
+  * wait for the action.
+  *  - Filter conditions, applied by one `q_filter` with the conditions
+  *    joined by the `and` rule as a balanced tree. A filter that reads only
+  *    attributes of the pending projection joins them, so it moves under
+  *    the projection: both are plain attributes.
+  *  - A plain projection, applied by one `q_project` over the filter. A
+  *    `select` of a subset of it replaces it.
+  *  - A sort key. Only an action knows whether row order matters, so `head`
+  *    and `collectAll` apply the `q_sort` rule once, under their `LIMIT`
+  *    rule, while counts, aggregates and group-bys use the unsorted query.
+  *    An `ORDER BY` in a derived table has no effect on the outer result in
+  *    SQL, yet DuckDB and PostgreSQL execute it.
+  * Every other step composes on the frame's query as its new base, so a
+  * program that reads a dropped attribute still gets the backend's error.
   *
-  * A sort waits for the action: the frame keeps its query without the sort
-  * (`unsorted`) and the pending sort key. Only an action knows whether row
-  * order matters, so `head` and `collectAll` apply the `q_sort` rule once,
-  * under their `LIMIT` rule, while counts, aggregates and group-bys use the
-  * unsorted query. An `ORDER BY` in a derived table has no effect on the
-  * outer result in SQL, yet DuckDB and PostgreSQL execute it.
+  * *Actions* (`head`, `count`, `max`, ...) ship the accumulated query
+  * through the [[DatabaseConnector]] and return a driver-local
+  * [[LocalResult]] (the Pandas-DataFrame analogue).
   */
 final class PolyFrame private (
     val connector: DatabaseConnector,
-    /** The underlying query without the pending sort. */
-    private val unsorted: String,
+    /** The query the pending filters and projection apply to. */
+    private val base: String,
+    /** The pending filter conditions, in program order. */
+    private val conditions: Vector[PFExpr],
+    /** The pending plain projection. */
+    private val projection: Option[Seq[String]],
     /** The pending sort `(attribute, ascending)`, applied by the action. */
     private val sortKey: Option[(String, Boolean)],
     /** Best-effort known output schema (used by describe/get_dummies). */
@@ -36,6 +49,18 @@ final class PolyFrame private (
 ) {
   private def lang: LanguageConfig = connector.lang
 
+  /** The underlying query without the pending sort: the base, one
+    * `q_filter` with the pending conditions, one `q_project`.
+    */
+  private lazy val unsorted: String = {
+    val filtered = if (conditions.isEmpty) base else lang.sub("QUERIES", "q_filter",
+      "subquery" -> base, "condition" -> LanguageConfig.translate(PolyFrame.conjunction(conditions), lang))
+    projection.fold(filtered) { attrs =>
+      val items = attrs.map(a => lang.sub("ATTRIBUTES", "project_attribute", "attribute" -> a))
+      lang.sub("QUERIES", "q_project", "subquery" -> filtered, "attrs" -> lang.joinFragments(items))
+    }
+  }
+
   /** The underlying query Qi for this frame, its pending sort applied. */
   lazy val query: String = sortKey.fold(unsorted) { case (attr, ascending) =>
     val key = if (ascending) "sort_asc_attr" else "sort_desc_attr"
@@ -43,22 +68,30 @@ final class PolyFrame private (
       "subquery" -> unsorted, "sort_attrs" -> lang.sub("ATTRIBUTES", key, "attribute" -> attr))
   }
 
-  private def derived(q: String, cols: Seq[String], series: Option[String] = None,
-                      sort: Option[(String, Boolean)] = None): PolyFrame =
-    new PolyFrame(connector, q, sort, cols, baseCollection, series, isBase = false)
+  private def pending(base: String = base, conditions: Vector[PFExpr] = conditions,
+                      projection: Option[Seq[String]] = projection,
+                      sort: Option[(String, Boolean)] = sortKey, cols: Seq[String] = columns,
+                      series: Option[String] = seriesName): PolyFrame =
+    new PolyFrame(connector, base, conditions, projection, sort, cols, baseCollection, series, isBase = false)
+
+  /** A frame on the base query `q`, with nothing pending. */
+  private def derived(q: String, cols: Seq[String], series: Option[String] = None): PolyFrame =
+    pending(q, Vector.empty, None, None, cols, series)
 
   // ---------------------------------------------------------------- transformations
 
   /** Project attributes — `df[['a','b']]`. A projection that keeps the
-    * pending sort's key keeps the sort pending.
+    * pending sort's key keeps the sort pending; one that also keeps only
+    * attributes of the pending projection replaces it.
     */
   def select(attrs: String*): PolyFrame = {
     require(attrs.nonEmpty, "select needs at least one attribute")
-    val keep  = sortKey.filter { case (attr, _) => attrs.contains(attr) }
-    val items = attrs.map(a => lang.sub("ATTRIBUTES", "project_attribute", "attribute" -> a))
-    val q = lang.sub("QUERIES", "q_project",
-      "subquery" -> (if (keep.isDefined) unsorted else query), "attrs" -> lang.joinFragments(items))
-    derived(q, attrs, series = if (attrs.size == 1) Some(attrs.head) else None, sort = keep)
+    val keep   = sortKey.filter { case (attr, _) => attrs.contains(attr) }
+    val series = if (attrs.size == 1) Some(attrs.head) else None
+    if (keep == sortKey && projection.forall(p => attrs.forall(p.contains)))
+      pending(projection = Some(attrs), cols = attrs, series = series)
+    else
+      pending(if (keep.isDefined) unsorted else query, Vector.empty, Some(attrs), keep, attrs, series)
   }
 
   /** Single-attribute projection — `df['a']`. */
@@ -75,14 +108,16 @@ final class PolyFrame private (
     derived(q, Seq(a), series = Some(a))
   }
 
-  /** Row selection — `df[cond]`. The pending sort stays pending, and a
-    * filtered series is still a series (`s[s > 1].max()`).
+  /** Row selection — `df[cond]`. A condition that reads only attributes
+    * of the pending projection joins the pending conditions; any other
+    * filters the frame's unsorted query. The pending sort stays pending,
+    * and a filtered series is still a series (`s[s > 1].max()`).
     */
-  def filter(cond: PFExpr): PolyFrame = {
-    val q = lang.sub("QUERIES", "q_filter",
-      "subquery" -> unsorted, "condition" -> LanguageConfig.translate(cond, lang))
-    derived(q, columns, seriesName, sortKey)
-  }
+  def filter(cond: PFExpr): PolyFrame =
+    if (projection.forall(p => PolyFrame.attributes(cond).forall(p.contains)))
+      pending(conditions = conditions :+ cond)
+    else
+      pending(unsorted, Vector(cond), None)
 
   /** Element-wise function over a series — `df['s'].map(str.upper)`.
     * `fn` must exist in [STRING FUNCTIONS] or [TYPE CONVERSION].
@@ -101,7 +136,7 @@ final class PolyFrame private (
     * A sorted series is still a series.
     */
   def sortValues(attr: String, ascending: Boolean = true): PolyFrame =
-    derived(unsorted, columns, seriesName, Some(attr -> ascending))
+    pending(sort = Some(attr -> ascending))
 
   /** Group by — `df.groupby(keys)`, combined with [[Grouped.agg]]. */
   def groupBy(keys: String*): PolyFrame.Grouped = PolyFrame.Grouped(this, keys)
@@ -222,7 +257,26 @@ object PolyFrame {
             columns: Seq[String] = Nil): PolyFrame = {
     val q = connector.lang.sub("QUERIES", "q_all",
       "namespace" -> namespace, "collection" -> collection)
-    new PolyFrame(connector, q, None, columns, collection, seriesName = None, isBase = true)
+    new PolyFrame(connector, q, Vector.empty, None, None, columns, collection, seriesName = None, isBase = true)
+  }
+
+  /** The conditions joined by the `and` rule as a balanced tree, so a
+    * nesting language (Mongo's `$and` array) nests about log2(n) levels.
+    */
+  private def conjunction(cs: Vector[PFExpr]): PFExpr =
+    if (cs.size == 1) cs.head
+    else { val (l, r) = cs.splitAt(cs.size / 2); PFExpr.Logical("and", conjunction(l), conjunction(r)) }
+
+  /** The attributes an expression reads. */
+  private def attributes(e: PFExpr): Set[String] = e match {
+    case PFExpr.Attr(name)       => Set(name)
+    case PFExpr.Lit(_)           => Set.empty
+    case PFExpr.Cmp(_, l, r)     => attributes(l) ++ attributes(r)
+    case PFExpr.Arith(_, l, r)   => attributes(l) ++ attributes(r)
+    case PFExpr.Logical(_, l, r) => attributes(l) ++ attributes(r)
+    case PFExpr.Not(x)           => attributes(x)
+    case PFExpr.IsNa(x)          => attributes(x)
+    case PFExpr.Func(_, x)       => attributes(x)
   }
 
   /** Deferred group-by: `df.groupby(keys).agg(...)`. */
@@ -249,7 +303,7 @@ object PolyFrame {
         "keys"        -> rule("group_key"),
         "key_outputs" -> rule("group_output"),
         "aggs"        -> lang.joinFragments(aggAliased))
-      new PolyFrame(pf.connector, q, None, keys ++ aliases, pf.baseCollection, None, isBase = false)
+      pf.derived(q, keys ++ aliases)
     }
   }
 }

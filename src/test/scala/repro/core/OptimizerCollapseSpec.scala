@@ -40,20 +40,27 @@ class OptimizerCollapseSpec extends SparkSpec {
     assert(countNodes(qe.optimizedPlan, _.isInstanceOf[Filter]) <= 1)
   }
 
+  /** The nested text the rules compose one step at a time; PolyFrame
+    * itself ships a run of filters as one `q_filter`.
+    */
+  private def nested = NestedChain(conn.lang, "Opt", "owisc")
+
   test("nested filters merge into one Filter") {
-    val pf = base.filter(col("ten") === 4).filter(col("two") === 0).filter(col("four") === 0)
-    val qe = conn.plan(pf.countQuery, "owisc").queryExecution
+    val q  = nested.filter(col("ten") === 4).filter(col("two") === 0).filter(col("four") === 0).countQuery
+    assert("WHERE".r.findAllIn(q).size == 3, q)
+    val qe = conn.plan(q, "owisc").queryExecution
     assert(countNodes(qe.optimizedPlan, _.isInstanceOf[Filter]) == 1,
       s"filters not merged:\n${qe.optimizedPlan}")
   }
 
   test("execution of the optimized nested query gives the same result as a flat query") {
-    val pf = base.filter(col("ten") === 4).filter(col("two") === 0)
-    val nested = conn.plan(pf.countQuery, "owisc").collect().head.getLong(0)
+    val q = this.nested.filter(col("ten") === 4).filter(col("two") === 0).countQuery
+    val nested = conn.plan(q, "owisc").collect().head.getLong(0)
     val flat = conn.plan(
       "SELECT COUNT(*) AS count FROM owisc WHERE ten = 4 AND two = 0", "owisc").collect().head.getLong(0)
     assert(nested == flat)
     assert(nested == 20L)
+    assert(base.filter(col("ten") === 4).filter(col("two") === 0).count() == flat)
   }
 
   test("projection pruning reaches through the subquery nesting") {

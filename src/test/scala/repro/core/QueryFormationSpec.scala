@@ -108,7 +108,7 @@ class QueryFormationSpec extends AnyFunSuite {
       .headQuery(5)
     val sqlQ = norm(chain(Languages.sql))
     assert(sqlQ == sqlSorted(
-      s"""SELECT t.* FROM (SELECT t.* FROM ($sqlBase) t WHERE t."ten" = 4) t WHERE t."two" = 0""",
+      s"""SELECT t.* FROM ($sqlBase) t WHERE t."ten" = 4 AND t."two" = 0""",
       "unique2") + " DESC LIMIT 5")
     assert("ORDER BY".r.findAllMatchIn(sqlQ).size == 1)
     val mongoQ = norm(chain(Languages.mongo))
@@ -156,6 +156,50 @@ class QueryFormationSpec extends AnyFunSuite {
     assert(norm(base(Languages.sql).sortValues("unique1").query) == sqlSorted(sqlBase, "unique1"))
     val mongo = base(Languages.mongo).sortValues("unique1").sortValues("unique2", ascending = false)
     assert(norm(mongo.query) == norm("""{ "$match": {} }, { "$sort": { "unique2": -1 } }"""))
+  }
+
+  // ------------------------------------- pending filters and projection
+
+  test("filter-select-filter-sort-filter ships one q_filter with the three conditions, one q_project and one sort under the LIMIT") {
+    val (c1, c2, c3) = (col("ten") === 4, col("two") === 0, col("unique1") > 10)
+    def chain(lang: LanguageConfig) = base(lang).filter(c1).select("unique1", "two").filter(c2)
+      .sortValues("unique1").filter(c3).headQuery(5)
+    Seq(Languages.sql, Languages.sparkSql, Languages.sqlpp, Languages.mongo, Languages.cypher).foreach { lang =>
+      def t(e: PFExpr) = LanguageConfig.translate(e, lang)
+      def and(l: String, r: String) = lang.sub("LOGICAL STATEMENTS", "and", "left" -> l, "right" -> r)
+      val filtered = lang.sub("QUERIES", "q_filter",
+        "subquery" -> base(lang).query, "condition" -> and(t(c1), and(t(c2), t(c3))))
+      val items = Seq("unique1", "two").map(a => lang.sub("ATTRIBUTES", "project_attribute", "attribute" -> a))
+      val projected = lang.sub("QUERIES", "q_project", "subquery" -> filtered, "attrs" -> lang.joinFragments(items))
+      val sorted = lang.sub("QUERIES", "q_sort", "subquery" -> projected,
+        "sort_attrs" -> lang.sub("ATTRIBUTES", "sort_asc_attr", "attribute" -> "unique1"))
+      assert(chain(lang) == lang.sub("LIMIT", "limit", "subquery" -> sorted, "num" -> "5"), lang.name)
+    }
+    assert(norm(chain(Languages.sql)) == sqlSorted(
+      s"""SELECT t."unique1", t."two" FROM (SELECT t.* FROM ($sqlBase) t """ +
+        """WHERE t."ten" = 4 AND t."two" = 0 AND t."unique1" > 10) t""", "unique1") + " LIMIT 5")
+    assert(norm(chain(Languages.mongo)) == norm(
+      """{ "$match": {} },
+        |{ "$match": { "$expr": { "$and": [ { "$eq": [ "$ten", 4 ] }, { "$and": [ { "$eq": [ "$two", 0 ] }, { "$gt": [ "$unique1", 10 ] } ] } ] } } },
+        |{ "$project": { "unique1": 1, "two": 1 } },
+        |{ "$sort": { "unique1": 1 } },
+        |{ "$project": { "_id": 0 } },
+        |{ "$limit": 5 }""".stripMargin))
+  }
+
+  test("a filter on a dropped attribute and a select that widens the projection nest, as the rules compose them") {
+    val sql = base(Languages.sql).select("unique1", "two")
+    assert(norm(sql.filter(col("ten") === 1).query) ==
+      s"""SELECT t.* FROM (SELECT t."unique1", t."two" FROM ($sqlBase) t) t WHERE t."ten" = 1""")
+    assert(norm(sql.select("unique1", "ten").query) ==
+      s"""SELECT t."unique1", t."ten" FROM (SELECT t."unique1", t."two" FROM ($sqlBase) t) t""")
+    assert(norm(sql.select("two").query) == s"""SELECT t."two" FROM ($sqlBase) t""")
+  }
+
+  test("a run of n filters nests about 2 log2(n) JSON levels in Mongo's $and, not n") {
+    val q = (0 until 512).foldLeft(base(Languages.mongo))((f, i) => f.filter(col("unique1") =!= i)).countQuery
+    val depth = q.scanLeft(0)((d, c) => if (c == '{' || c == '[') d + 1 else if (c == '}' || c == ']') d - 1 else d).max
+    assert(depth <= 2 * 9 + 8, s"JSON depth $depth")
   }
 
   test("expr 11 (range selection) — Spark SQL shape") {
@@ -217,7 +261,7 @@ class QueryFormationSpec extends AnyFunSuite {
     val filtered = sql("unique1").filter(col("unique1") > 1)
     assert(filtered.seriesName.contains("unique1"))
     assert(norm(filtered.aggValueQuery("max")) == ("""SELECT MAX(t."unique1") AS "max_unique1" FROM """ +
-      """(SELECT t.* FROM (SELECT t."unique1" FROM (SELECT * FROM Bench.data t) t) t WHERE t."unique1" > 1) t"""))
+      """(SELECT t."unique1" FROM (SELECT t.* FROM (SELECT * FROM Bench.data t) t WHERE t."unique1" > 1) t) t"""))
     val mapped = sql("stringu1").sortValues("stringu1").map("upper")
     assert(norm(mapped.query) == ("""SELECT upper(t."stringu1") AS "stringu1" FROM """ +
       """(SELECT * FROM (SELECT t."stringu1" FROM (SELECT * FROM Bench.data t) t) t ORDER BY t."stringu1") t"""))

@@ -2,7 +2,7 @@ package repro.cypher
 
 import repro.{Oracle, SparkSpec}
 import repro.connector.CypherConnector
-import repro.core.PolyFrame
+import repro.core.{NestedChain, PolyFrame}
 import repro.core.dsl._
 import repro.wisconsin.WisconsinData
 import org.apache.spark.sql.catalyst.expressions.{CreateNamedStruct, GetStructField}
@@ -31,9 +31,12 @@ class CypherPlanSpec extends SparkSpec {
   test("stacked WITH t{...} projections over all 16 columns optimize to one Project, no structs") {
     val cols = WisconsinData.columns
     val perms = Seq(cols.reverse, cols.drop(5) ++ cols.take(5), cols.sortBy(_.length), cols.sorted)
-    val pf = perms.foldLeft(PolyFrame(conn, "Cy", "cwisc", cols))((f, p) => f.select(p: _*))
-      .filter(col("ten") === 4)
-    val query = pf.collectQuery
+    // PolyFrame fuses the four selects into one; the rules still nest them
+    val fused = perms.foldLeft(PolyFrame(conn, "Cy", "cwisc", cols))((f, p) => f.select(p: _*))
+      .filter(col("ten") === 4).collectQuery
+    assert("(?m)^\\s*WITH t\\{".r.findAllIn(fused).size == 1, fused)
+    val query = perms.foldLeft(NestedChain(conn.lang, "Cy", "cwisc"))((f, p) => f.select(p: _*))
+      .filter(col("ten") === 4).collectQuery
     assert("(?m)^\\s*WITH t\\{".r.findAllIn(query).size == 4, query)
     val qe = conn.plan(query, "cwisc").queryExecution
     Seq(qe.analyzed, qe.optimizedPlan).foreach(p => assert(!buildsStructs(p), s"struct state in:\n$p"))
