@@ -86,9 +86,7 @@ object BenchOutput {
     * repo root sees build.sbt and writes under bench/results.
     */
   def save(name: String, content: String): Unit = {
-    val default =
-      if (java.nio.file.Files.exists(Paths.get("build.sbt"))) "bench/results" else "results"
-    val dir = Paths.get(sys.props.getOrElse("bench.results.dir", default))
+    val dir = Paths.get(if (Files.exists(Paths.get("build.sbt"))) "bench/results" else "results")
     Files.createDirectories(dir)
     Files.write(dir.resolve(name), content.getBytes("UTF-8"),
       StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)

@@ -153,14 +153,12 @@ object Runners {
   }
 
   /** Fig 9: fixed 'XL' data, growing worker count. */
-  def speedup(workers: Seq[Int] = multiNodeWorkers,
-              n: Long = multiNodeBaseRecords): BenchReport =
-    BenchReport(s"Speedup — fixed $n records, workers ${workers.mkString(",")}",
-      workers.flatMap(w => multiNodePoint(w, n, "XL")))
+  def speedup(): BenchReport =
+    BenchReport(s"Speedup — fixed $multiNodeBaseRecords records, workers ${multiNodeWorkers.mkString(",")}",
+      multiNodeWorkers.flatMap(w => multiNodePoint(w, multiNodeBaseRecords, "XL")))
 
   /** Fig 10: data grows with the worker count. */
-  def scaleup(workers: Seq[Int] = multiNodeWorkers,
-              basePerWorker: Long = multiNodeBaseRecords): BenchReport =
-    BenchReport(s"Scaleup — $basePerWorker records per worker, workers ${workers.mkString(",")}",
-      workers.flatMap(w => multiNodePoint(w, basePerWorker * w, s"${w}xXL")))
+  def scaleup(): BenchReport =
+    BenchReport(s"Scaleup — $multiNodeBaseRecords records per worker, workers ${multiNodeWorkers.mkString(",")}",
+      multiNodeWorkers.flatMap(w => multiNodePoint(w, multiNodeBaseRecords * w, s"${w}xXL")))
 }

@@ -8,10 +8,10 @@ package repro.core
   * without executing anything. `Qi+1` embeds `Qi` per run of operations,
   * not per step: a frame keeps a base query and three pending steps, which
   * wait for the action.
-  *  - Filter conditions, applied by one `q_filter` with the conditions
-  *    joined by the `and` rule as a balanced tree. A filter that reads only
-  *    attributes of the pending projection joins them, so it moves under
-  *    the projection: both are plain attributes.
+  *  - Filter conditions, each translated when `filter` adds it, applied by
+  *    one `q_filter` and joined by the `and` rule as a balanced tree. A
+  *    filter that reads only attributes of the pending projection joins
+  *    them, so it moves under the projection: both are plain attributes.
   *  - A plain projection, applied by one `q_project` over the filter. A
   *    `select` of a subset of it replaces it.
   *  - A sort key. Only an action knows whether row order matters, so `head`
@@ -30,13 +30,13 @@ final class PolyFrame private (
     val connector: DatabaseConnector,
     /** The query the pending filters and projection apply to. */
     private val base: String,
-    /** The pending filter conditions, in program order. */
-    private val conditions: Vector[PFExpr],
+    /** The pending filter conditions, translated, in program order. */
+    private val conditions: Vector[String],
     /** The pending plain projection. */
     private val projection: Option[Seq[String]],
     /** The pending sort `(attribute, ascending)`, applied by the action. */
     private val sortKey: Option[(String, Boolean)],
-    /** Best-effort known output schema (used by describe/get_dummies). */
+    /** The known output schema, for callers; empty when unknown. */
     val columns: Seq[String],
     /** Collection the incremental chain started from. */
     val baseCollection: String,
@@ -54,7 +54,7 @@ final class PolyFrame private (
     */
   private lazy val unsorted: String = {
     val filtered = if (conditions.isEmpty) base else lang.sub("QUERIES", "q_filter",
-      "subquery" -> base, "condition" -> LanguageConfig.translate(PolyFrame.conjunction(conditions), lang))
+      "subquery" -> base, "condition" -> conjunction(conditions))
     projection.fold(filtered) { attrs =>
       val items = attrs.map(a => lang.sub("ATTRIBUTES", "project_attribute", "attribute" -> a))
       lang.sub("QUERIES", "q_project", "subquery" -> filtered, "attrs" -> lang.joinFragments(items))
@@ -68,7 +68,15 @@ final class PolyFrame private (
       "subquery" -> unsorted, "sort_attrs" -> lang.sub("ATTRIBUTES", key, "attribute" -> attr))
   }
 
-  private def pending(base: String = base, conditions: Vector[PFExpr] = conditions,
+  /** The conditions joined by the `and` rule as a balanced tree, so a
+    * nesting language (Mongo's `$and` array) nests about log2(n) levels.
+    */
+  private def conjunction(cs: Vector[String]): String = if (cs.size == 1) cs.head else {
+    val (l, r) = cs.splitAt(cs.size / 2)
+    lang.sub("LOGICAL STATEMENTS", "and", "left" -> conjunction(l), "right" -> conjunction(r))
+  }
+
+  private def pending(base: String = base, conditions: Vector[String] = conditions,
                       projection: Option[Seq[String]] = projection,
                       sort: Option[(String, Boolean)] = sortKey, cols: Seq[String] = columns,
                       series: Option[String] = seriesName): PolyFrame =
@@ -113,11 +121,11 @@ final class PolyFrame private (
     * filters the frame's unsorted query. The pending sort stays pending,
     * and a filtered series is still a series (`s[s > 1].max()`).
     */
-  def filter(cond: PFExpr): PolyFrame =
-    if (projection.forall(p => PolyFrame.attributes(cond).forall(p.contains)))
-      pending(conditions = conditions :+ cond)
-    else
-      pending(unsorted, Vector(cond), None)
+  def filter(cond: PFExpr): PolyFrame = {
+    val c = LanguageConfig.translate(cond, lang)
+    if (projection.forall(p => PolyFrame.attributes(cond).forall(p.contains))) pending(conditions = conditions :+ c)
+    else pending(unsorted, Vector(c), None)
+  }
 
   /** Element-wise function over a series — `df['s'].map(str.upper)`.
     * `fn` must exist in [STRING FUNCTIONS] or [TYPE CONVERSION].
@@ -259,13 +267,6 @@ object PolyFrame {
       "namespace" -> namespace, "collection" -> collection)
     new PolyFrame(connector, q, Vector.empty, None, None, columns, collection, seriesName = None, isBase = true)
   }
-
-  /** The conditions joined by the `and` rule as a balanced tree, so a
-    * nesting language (Mongo's `$and` array) nests about log2(n) levels.
-    */
-  private def conjunction(cs: Vector[PFExpr]): PFExpr =
-    if (cs.size == 1) cs.head
-    else { val (l, r) = cs.splitAt(cs.size / 2); PFExpr.Logical("and", conjunction(l), conjunction(r)) }
 
   /** The attributes an expression reads. */
   private def attributes(e: PFExpr): Set[String] = e match {

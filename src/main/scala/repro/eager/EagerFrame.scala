@@ -5,6 +5,8 @@ import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import org.json4s._
 import org.json4s.jackson.JsonMethods.compact
+import repro.core.PFExpr
+import repro.core.PFExpr._
 import repro.util.Json
 
 /** Raised when an eager operation would exceed the configured memory
@@ -42,25 +44,11 @@ object MemoryBudget {
   def unlimited: MemoryBudget = new MemoryBudget(Long.MaxValue)
 }
 
-/** A boolean mask — what an eagerly-evaluated Pandas comparison
-  * materializes (`df['ten'] == x` builds the full boolean Series before
-  * any filtering happens).
-  */
-final class EagerMask(val bits: Array[Boolean], budget: MemoryBudget) {
-  budget.allocTransient(bits.length.toLong, "boolean mask")
-  def &&(o: EagerMask): EagerMask = {
-    require(bits.length == o.bits.length, "mask length mismatch")
-    new EagerMask(Array.tabulate(bits.length)(i => bits(i) && o.bits(i)), budget)
-  }
-  def ||(o: EagerMask): EagerMask =
-    new EagerMask(Array.tabulate(bits.length)(i => bits(i) || o.bits(i)), budget)
-  def count: Long = bits.count(identity).toLong
-}
-
 /** EagerFrame: the Pandas stand-in — a driver-local, single-threaded,
-  * eagerly-materializing dataframe. Every operation immediately computes
-  * and copies its result (charging the memory budget), exactly the
-  * evaluation strategy the paper contrasts PolyFrame's laziness against.
+  * eagerly-materializing dataframe with PolyFrame's verbs over `PFExpr`.
+  * Every operation immediately computes and copies its result (charging
+  * the memory budget), exactly the evaluation strategy the paper
+  * contrasts PolyFrame's laziness against.
   */
 final class EagerFrame(
     val columns: Vector[String],
@@ -68,7 +56,8 @@ final class EagerFrame(
     val budget: MemoryBudget,
     chargeAs: String = "transient",
 ) {
-  val sizeBytes: Long = EagerFrame.estimate(rows)
+  import EagerFrame._
+  val sizeBytes: Long = estimate(rows)
   if (chargeAs == "base") budget.allocBase(sizeBytes, "dataframe")
   else budget.allocTransient(sizeBytes, "intermediate dataframe")
 
@@ -89,89 +78,105 @@ final class EagerFrame(
     new EagerFrame(cols.toVector, rows.map(r => is.map(r(_)).toArray), budget)
   }
 
-  def maskEq(c: String, v: Any): EagerMask = mask(c)(x => x != null && valueEq(x, v))
-  def maskGe(c: String, v: Double): EagerMask = mask(c)(x => x != null && toD(x) >= v)
-  def maskLe(c: String, v: Double): EagerMask = mask(c)(x => x != null && toD(x) <= v)
-  def maskIsNa(c: String): EagerMask = mask(c)(_ == null)
-
-  private def mask(c: String)(p: Any => Boolean): EagerMask = {
-    val i = idx(c)
-    new EagerMask(rows.map(r => p(r(i))), budget)
+  /** `df[cond]` — evaluates `cond` over every row, then materializes the
+    * filtered copy.
+    */
+  def filter(cond: PFExpr): EagerFrame = {
+    val m = mask(cond)
+    new EagerFrame(columns, rows.indices.collect { case i if m(i) => rows(i) }.toArray, budget)
   }
 
-  /** `df[mask]` — materializes the filtered copy. */
-  def filter(m: EagerMask): EagerFrame =
-    new EagerFrame(columns, rows.zip(m.bits).collect { case (r, true) => r }, budget)
+  /** The boolean Series `e` evaluates to. As in Pandas, each comparison,
+    * `&`/`|`, `~` and `isna` materializes a full array, one n-byte charge.
+    * A comparison with a missing value is false, except `ne`, which is true.
+    */
+  private def mask(e: PFExpr): Array[Boolean] = {
+    val bits = e match {
+      case Cmp(op, l, r) =>
+        val (holds, a, b) = (comparisons.getOrElse(op, throw unsupported(e)), value(l), value(r))
+        Array.tabulate(rows.length)(i => if (a(i) == null || b(i) == null) op == "ne" else holds(order(a(i), b(i))))
+      case Logical(op @ ("and" | "or"), l, r) =>
+        val (a, b) = (mask(l), mask(r))
+        Array.tabulate(rows.length)(i => if (op == "and") a(i) && b(i) else a(i) || b(i))
+      case Not(x)  => mask(x).map(!_)
+      case IsNa(x) => val a = value(x); Array.tabulate(rows.length)(a(_) == null)
+      case _       => throw unsupported(e)
+    }
+    budget.allocTransient(rows.length.toLong, "boolean mask")
+    bits
+  }
+
+  /** A column or a literal, read in place: neither is charged. */
+  private def value(e: PFExpr): Int => Any = e match {
+    case Attr(a) => val j = idx(a); rows(_)(j)
+    case Lit(v)  => _ => v
+    case _       => throw unsupported(e)
+  }
 
   def head(n: Int = 5): EagerFrame = new EagerFrame(columns, rows.take(n), budget)
 
-  /** Eager element-wise map over one column (`df['s'].map(str.upper)`) —
-    * computes the whole new column before any head()/limit.
+  /** `df[attr].map(fn)` for fn in upper/lower — computes the whole new
+    * column before any head()/limit.
     */
-  def mapUpper(c: String): EagerFrame = {
-    val i = idx(c)
-    val out = rows.map { r =>
-      val v = r(i)
-      Array[Any](if (v == null) null else v.toString.toUpperCase)
+  def map(attr: String, fn: String): EagerFrame = {
+    val f: String => String = fn match {
+      case "upper" => _.toUpperCase
+      case "lower" => _.toLowerCase
+      case _       => throw unsupported(Func(fn, Attr(attr)))
     }
-    new EagerFrame(Vector(c), out, budget)
+    val i = idx(attr)
+    new EagerFrame(Vector(attr), rows.map(r => Array[Any](if (r(i) == null) null else f(r(i).toString))), budget)
   }
 
   def max(c: String): Double = { val i = idx(c); rows.iterator.map(_(i)).filter(_ != null).map(toD).max }
   def min(c: String): Double = { val i = idx(c); rows.iterator.map(_(i)).filter(_ != null).map(toD).min }
 
-  def groupByCount(key: String): EagerFrame = {
-    val i = idx(key)
-    val m = mutable.LinkedHashMap.empty[Any, Long]
-    rows.foreach { r => val k = r(i); if (k != null) m(k) = m.getOrElse(k, 0L) + 1L }
-    new EagerFrame(Vector(key, s"count_$key"), m.map { case (k, n) => Array[Any](k, n) }.toArray, budget)
-  }
-
-  def groupByMax(key: String, attr: String): EagerFrame = {
-    val (i, j) = (idx(key), idx(attr))
-    val m = mutable.LinkedHashMap.empty[Any, Double]
-    rows.foreach { r =>
-      val k = r(i); val v = r(j)
-      if (k != null && v != null) {
-        val d = toD(v)
-        m(k) = math.max(m.getOrElse(k, Double.NegativeInfinity), d)
-      }
-    }
-    new EagerFrame(Vector(key, s"max_$attr"), m.map { case (k, v) => Array[Any](k, v.toLong) }.toArray, budget)
-  }
-
-  /** Full sorted copy (Pandas sort_values materializes before head):
-    * strings by their text, other values as numbers, missing values last.
+  /** `df.groupby(key)[attr].agg(fn)` for fn in count/max: one row per
+    * present key, keys sorted as Pandas sorts them, with columns `key` and
+    * `<fn>_<attr>` as PolyFrame names them. `count` counts the present
+    * values; `max` is the greatest present value, missing if there is none.
     */
-  def sortDesc(c: String): EagerFrame = {
-    val i = idx(c)
+  def groupByAgg(key: String, fn: String, attr: String): EagerFrame = {
+    val agg: Array[Any] => Any = fn match {
+      case "count" => _.length.toLong
+      case "max"   => vs => if (vs.isEmpty) null else vs.reduce((m, v) => if (order(v, m) > 0) v else m)
+      case _       => throw new UnsupportedOperationException(s"EagerFrame has no aggregate '$fn'")
+    }
+    val (k, a) = (idx(key), idx(attr))
+    val groups = rows.filter(_(k) != null).groupBy(_(k)).toArray.sortWith((x, y) => order(x._1, y._1) < 0)
+    new EagerFrame(Vector(key, s"${fn}_$attr"), groups.map { case (g, rs) => Array[Any](g, agg(rs.map(_(a)).filter(_ != null))) }, budget)
+  }
+
+  /** `sort_values(attr, ascending)` — a full sorted copy (Pandas sorts
+    * before head), missing values last in both directions.
+    */
+  def sortValues(attr: String, ascending: Boolean = true): EagerFrame = {
+    val i = idx(attr)
     val (present, missing) = rows.partition(_(i) != null)
-    val sorted = present.sortWith((a, b) => (a(i), b(i)) match {
-      case (x: String, y: String) => x > y
-      case (x, y)                 => toD(x) > toD(y)
-    })
+    val sorted = present.sortWith((a, b) => if (ascending) order(a(i), b(i)) < 0 else order(b(i), a(i)) < 0)
     new EagerFrame(columns, sorted ++ missing, budget)
   }
 
   /** Inner hash equi-join (`pd.merge`). */
   def merge(other: EagerFrame, leftOn: String, rightOn: String): EagerFrame = {
-    val li = idx(leftOn); val ri = other.idx(rightOn)
-    val table = mutable.HashMap.empty[Any, mutable.ArrayBuffer[Array[Any]]]
-    other.rows.foreach { r =>
-      val k = r(ri)
-      if (k != null) table.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += r
-    }
-    val out = mutable.ArrayBuffer.empty[Array[Any]]
-    rows.foreach { l =>
-      val k = l(li)
-      if (k != null) table.get(k).foreach(_.foreach(r => out += (l ++ r)))
-    }
-    new EagerFrame(columns ++ other.columns, out.toArray, budget)
+    val (li, ri) = (idx(leftOn), other.idx(rightOn))
+    val table = other.rows.filter(_(ri) != null).groupBy(_(ri))
+    val out   = rows.filter(_(li) != null).flatMap(l => table.getOrElse(l(li), Array.empty[Array[Any]]).map(l ++ _))
+    new EagerFrame(columns ++ other.columns, out, budget)
   }
+}
 
-  private def valueEq(a: Any, b: Any): Boolean = (a, b) match {
-    case (x: String, y: String) => x == y
-    case (x, y) => toD(x) == toD(y)
+object EagerFrame {
+
+  private val comparisons: Map[String, Int => Boolean] =
+    Map("eq" -> (_ == 0), "ne" -> (_ != 0), "lt" -> (_ < 0), "le" -> (_ <= 0), "gt" -> (_ > 0), "ge" -> (_ >= 0))
+
+  /** The order filters and sorts share: strings compare as text, every
+    * other value as a number.
+    */
+  private def order(a: Any, b: Any): Int = (a, b) match {
+    case (x: String, y: String) => x.compareTo(y)
+    case _                      => java.lang.Double.compare(toD(a), toD(b))
   }
   private def toD(v: Any): Double = v match {
     case l: Long => l.toDouble
@@ -181,9 +186,7 @@ final class EagerFrame(
     case b: Boolean => if (b) 1d else 0d
     case other => other.toString.toDouble
   }
-}
-
-object EagerFrame {
+  private def unsupported(e: PFExpr) = new UnsupportedOperationException(s"EagerFrame cannot evaluate $e")
 
   /** Estimated JVM bytes for row data (boxed values, like Pandas' object
     * columns — the paper quotes McKinney's 5–10× RAM rule of thumb).

@@ -175,4 +175,12 @@ class ExprTranslationSpec extends AnyFunSuite {
       assert(ex.getMessage.contains("'max'"), lang.name)
     }
   }
+
+  test("an untranslatable condition raises at filter, before any action, in every config") {
+    for (lang <- Languages.all.values) {
+      val cond = PFExpr.Cmp("eq", PFExpr.Func("soundex", col("name")), lit("x"))
+      val ex = intercept[NoSuchElementException](TestSupport.frame(lang).filter(col("lang") === "en").filter(cond))
+      assert(ex.getMessage.contains("soundex"), lang.name)
+    }
+  }
 }

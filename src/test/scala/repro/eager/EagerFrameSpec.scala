@@ -1,6 +1,9 @@
 package repro.eager
 
 import repro.SparkSpec
+import repro.bench.Benchmark
+import repro.core.PFExpr
+import repro.core.dsl._
 import repro.wisconsin.WisconsinData
 import java.nio.file.Files
 
@@ -15,6 +18,14 @@ class EagerFrameSpec extends SparkSpec {
     p
   }
   private lazy val df = EagerFrame.readJsonLines(jsonPath, MemoryBudget.unlimited)
+
+  /** A frame on its own budget, its load's transient charges released. */
+  private def charged(): (EagerFrame, MemoryBudget) = {
+    val budget = new MemoryBudget(Long.MaxValue / 2)
+    val d = EagerFrame.readJsonLines(jsonPath, budget)
+    budget.resetTransient()
+    (d, budget)
+  }
 
   test("read_json infers the full schema including sparse attributes") {
     assert(df.columns.toSet == WisconsinData.columns.toSet)
@@ -32,35 +43,38 @@ class EagerFrameSpec extends SparkSpec {
   }
 
   test("comparison masks materialize full boolean arrays (eager)") {
-    val m = df.maskEq("ten", 4)
-    assert(m.bits.length == 1000)
-    assert(m.count == 100)
+    val (d, budget) = charged()
+    val f = d.filter(col("ten") === 4)
+    assert(f.length == 100)
+    // one 1,000-byte mask over every row, then the filtered copy
+    assert(budget.used - d.sizeBytes == 1000 + f.sizeBytes)
   }
 
   test("mask conjunction (expression 3)") {
-    val m = df.maskEq("ten", 4) && df.maskEq("twentyPercent", 4) && df.maskEq("two", 0)
-    assert(df.filter(m).length == 100)
+    assert(df.filter(col("ten") === 4 && col("twentyPercent") === 4 && col("two") === 0).length == 100)
   }
 
   test("filter + head (expression 10)") {
-    assert(df.filter(df.maskEq("ten", 4)).head(5).length == 5)
+    assert(df.filter(col("ten") === 4).head(5).length == 5)
   }
 
   test("group by count (expression 4)") {
-    val g = df.groupByCount("oddOnePercent")
+    val g = df.groupByAgg("oddOnePercent", "count", "oddOnePercent")
+    assert(g.columns == Vector("oddOnePercent", "count_oddOnePercent"))
     assert(g.length == 100)
     assert(g.column(s"count_oddOnePercent").forall(_ == 10L))
   }
 
   test("group by max (expression 8)") {
-    val g = df.groupByMax("twenty", "four")
+    val g = df.groupByAgg("twenty", "max", "four")
+    assert(g.columns == Vector("twenty", "max_four"))
     assert(g.length == 20)
     val m = g.rows.map(r => r(0).asInstanceOf[Long] -> r(1).asInstanceOf[Long]).toMap
     m.foreach { case (twenty, maxFour) => assert(maxFour == twenty % 4) }
   }
 
   test("map upper computes the whole column before head (expression 5)") {
-    val u = df.mapUpper("stringu1")
+    val u = df.map("stringu1", "upper")
     assert(u.length == 1000)
     assert(u.column("stringu1").forall(v => v.toString == v.toString.toUpperCase))
   }
@@ -71,13 +85,12 @@ class EagerFrameSpec extends SparkSpec {
   }
 
   test("sort descending materializes a full copy, head picks top (expression 9)") {
-    val top = df.sortDesc("unique1").head(5)
+    val top = df.sortValues("unique1", ascending = false).head(5)
     assert(top.column("unique1").map(_.asInstanceOf[Long]).toSeq == Seq(999L, 998L, 997L, 996L, 995L))
   }
 
   test("range mask (expression 11)") {
-    val m = df.maskGe("onePercent", 40) && df.maskLe("onePercent", 60)
-    assert(df.filter(m).length == 210)
+    assert(df.filter(col("onePercent") >= 40 && col("onePercent") <= 60).length == 210)
   }
 
   test("merge inner-joins on keys (expression 12)") {
@@ -87,11 +100,11 @@ class EagerFrameSpec extends SparkSpec {
   }
 
   test("isna mask (expression 13)") {
-    assert(df.filter(df.maskIsNa("tenPercent")).length == 100)
+    assert(df.filter(col("tenPercent").isna).length == 100)
   }
 
   test("isna is false for present values") {
-    assert(df.filter(df.maskIsNa("unique1")).length == 0)
+    assert(df.filter(col("unique1").isna).length == 0)
   }
 
   test("memory budget: load fails when table exceeds budget (the M/L/XL OOM)") {
@@ -106,15 +119,15 @@ class EagerFrameSpec extends SparkSpec {
     val d2 = EagerFrame.readJsonLines(jsonPath, budget)
     // one full-copy op fits...
     budget.resetTransient()
-    d2.sortDesc("unique1")
+    d2.sortValues("unique1")
     // ...but a chain of full copies within one expression does not
     budget.resetTransient()
     intercept[EagerOutOfMemoryException] {
-      d2.sortDesc("unique1").sortDesc("unique1").sortDesc("unique1")
+      d2.sortValues("unique1").sortValues("unique1").sortValues("unique1")
     }
     // and after a reset (next expression) we are healthy again
     budget.resetTransient()
-    d2.sortDesc("unique1")
+    d2.sortValues("unique1")
   }
 
   test("creation charges parse intermediates: 2× the table is needed to load") {
@@ -130,11 +143,60 @@ class EagerFrameSpec extends SparkSpec {
   }
 
   test("eager evaluation order: masks charge budget even if never used") {
-    val budget = new MemoryBudget(Long.MaxValue / 2)
-    val d2 = EagerFrame.readJsonLines(jsonPath, budget)
-    budget.resetTransient()
+    val (d2, budget) = charged()
     val before = budget.used
-    d2.maskEq("ten", 4) // result discarded — eager evaluation still paid
-    assert(budget.used >= before + 1000)
+    d2.filter(col("ten") === 10) // keeps no row — eager evaluation still paid for the mask
+    assert(budget.used == before + 1000)
+  }
+
+  test("Table III expressions charge pinned transient bytes: one 1,000-byte mask per node, plus copies") {
+    val budget = new MemoryBudget(Long.MaxValue / 2)
+    val t = new Benchmark.EagerTarget(jsonPath, budget)
+    t.create()
+    budget.resetTransient()
+    val base = budget.used
+    val bytes = (1 to 13).map { i => t.runExpr(i); i -> (budget.used - base) }.toMap
+    assert(bytes == Map(1 -> 0L, 2 -> 48240L, 3 -> 62800L, 4 -> 4800L, 5 -> 168840L, 6 -> 0L, 7 -> 0L,
+      8 -> 960L, 9 -> 580090L, 10 -> 61690L, 11 -> 124140L, 12 -> 1138400L, 13 -> 58000L))
+    // expressions 3, 10, 11 and 13: 5, 1, 3 and 1 masks, plus the filtered copy (and 10's head)
+    val filtered3 = df.filter(col("ten") === 4 && col("twentyPercent") === 4 && col("two") === 0)
+    assert(bytes(3) == 5 * 1000 + filtered3.sizeBytes)
+    val filtered10 = df.filter(col("ten") === 4)
+    assert(bytes(10) == 1000 + filtered10.sizeBytes + filtered10.head(5).sizeBytes)
+    assert(bytes(11) == 3 * 1000 + df.filter(col("onePercent") >= 40 && col("onePercent") <= 60).sizeBytes)
+    assert(bytes(13) == 1000 + df.filter(col("tenPercent").isna).sizeBytes)
+  }
+
+  test("Pandas comparison semantics: missing values, != and text order") {
+    // tenPercent is missing on 100 rows and 3 on another 100
+    assert(df.filter(col("tenPercent") =!= 3).length == 900)
+    assert(df.filter(col("tenPercent") === 1 || col("tenPercent") === 2).length == 200)
+    assert(df.filter(col("tenPercent") < 3).length == 200)
+    // `~(s >= 3)` negates False, so Pandas keeps the missing rows
+    assert(df.filter(!(col("tenPercent") >= 3)).length == 300)
+    assert(df.filter(col("tenPercent") === null).length == 0)
+    assert(df.filter(col("tenPercent") =!= null).length == 1000)
+    // stringu1 spells unique1 in base-26 letters: "AAAAB..." is 676, and a prefix sorts first
+    assert(df.filter(col("stringu1") >= "AAAAB").length == 1000 - 676)
+    assert(df.filter(col("stringu1") < "AAAAB").length == 676)
+  }
+
+  test("sorts put missing values last in both directions") {
+    for (ascending <- Seq(true, false)) {
+      val keys = df.sortValues("tenPercent", ascending).column("tenPercent").toSeq
+      assert(keys.takeRight(100).forall(_ == null) && !keys.take(900).contains(null), s"ascending=$ascending")
+      val present = keys.take(900).map(_.asInstanceOf[Long])
+      assert(present == (if (ascending) present.sorted else present.sorted.reverse), s"ascending=$ascending")
+    }
+    val names = df.sortValues("stringu1").column("stringu1").map(_.toString).toSeq
+    assert(names == names.sorted)
+  }
+
+  test("nodes and functions outside the evaluator raise an error that names them") {
+    val arith = intercept[UnsupportedOperationException](
+      df.filter(PFExpr.Cmp("eq", PFExpr.Arith("add", col("ten"), lit(1)), lit(5))))
+    assert(arith.getMessage.contains("Arith"))
+    assert(intercept[UnsupportedOperationException](df.map("stringu1", "to_int")).getMessage.contains("to_int"))
+    assert(intercept[UnsupportedOperationException](df.groupByAgg("two", "avg", "four")).getMessage.contains("avg"))
   }
 }

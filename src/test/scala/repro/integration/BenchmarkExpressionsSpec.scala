@@ -184,19 +184,18 @@ class BenchmarkExpressionsSpec extends SparkSpec {
   }
 
   test("ascending sort puts missing values last on Spark and DuckDB (Pandas na_position='last')") {
-    def top3(c: DatabaseConnector): Seq[Any] = {
-      val (df, _) = frames(c)
-      val r = df.sortValues("tenPercent").head(3)
-      val i = r.columns.map(_.toLowerCase).indexOf("tenpercent")
-      r.rows.map(row => LocalResult.normalize(row(i)))
-    }
-    val spark = top3(sparkConn)
-    assert(!spark.contains(null), s"nulls sorted first on Spark: $spark")
-    assert(spark == Seq(1L, 1L, 1L)) // tenPercent is missing where it would be 0
-    Seq(duckConn, cypherConn).foreach(c => assert(top3(c) == spark, c.name))
+    def sorted(c: DatabaseConnector): Seq[Any] = keys(frames(c)._1.sortValues("tenPercent").head(N.toInt), "tenPercent")
+    // tenPercent is missing where it would be 0
+    val (present, missing) = keys(local(eager.sortValues("tenPercent")), "tenPercent").splitAt((N - N / 10).toInt)
+    assert(present.take(3) == Seq(1L, 1L, 1L) && !present.contains(null) && missing.forall(_ == null))
+    Seq(sparkConn, duckConn, cypherConn).foreach(c => assert(sorted(c) == present ++ missing, c.name))
     // Open cross-backend difference (DESIGN.md §5): MiniMongo still sorts
     // missing values first on an ascending sort.
-    assert(top3(mongoConn) == Seq(null, null, null))
+    assert(sorted(mongoConn) == missing ++ present)
+  }
+
+  test("an ascending sort's head returns EagerFrame's keys on every backend") {
+    headAgrees("unique1")(_.sortValues("unique1").head(5))(_.sortValues("unique1").head(5))
   }
 
   // ----------------------------------------------------------- expression 10
@@ -294,6 +293,30 @@ class BenchmarkExpressionsSpec extends SparkSpec {
     filterMatchesOracle(!(col("two") === 1 && col("ten") === 3), "NOT (two = 1 AND ten = 3)")
   }
 
+  test("tenPercent != 3 keeps the missing rows on every backend, as EagerFrame does") {
+    val want = eager.filter(col("tenPercent") =!= 3).length
+    assert(want == N - N / 10) // 200 rows hold 3, and the 200 missing ones are kept
+    forAllBackends { (c, df, _) => assert(df.filter(col("tenPercent") =!= 3).count() == want, c.name) }
+  }
+
+  test("stringu1 >= 'AAAAB' orders strings as text on every backend, as EagerFrame does") {
+    // stringu1 spells unique1 in base-26 letters, so "AAAAB..." starts at unique1 = 676
+    val cond = col("stringu1") >= "AAAAB"
+    val want = local(eager.filter(cond).select("unique1", "stringu1"))
+    assert(want.size == N - 676)
+    forAllBackends { (c, df, _) =>
+      assert(df.filter(cond).select("unique1", "stringu1").collectAll().canonicalRows == want.canonicalRows, c.name)
+    }
+  }
+
+  test("a NOT over a comparison drops missing rows on every backend but keeps them on EagerFrame") {
+    // Open difference (DESIGN.md §3): Pandas negates the False that a missing
+    // value compares to, while NOT over SQL's unknown stays unknown.
+    val cond = !(col("tenPercent") >= 3)
+    assert(eager.filter(cond).length == 3 * N / 10)
+    forAllBackends { (c, df, _) => assert(df.filter(cond).count() == 2 * N / 10, c.name) }
+  }
+
   test("x != v keeps rows where x is missing on every backend, as Pandas does") {
     filterMatchesOracle(col("tenPercent") =!= 4, "tenPercent IS DISTINCT FROM 4")
     forAllBackends { (c, df, _) =>
@@ -314,7 +337,8 @@ class BenchmarkExpressionsSpec extends SparkSpec {
     val (df, _) = frames(duckConn)
     assert(df("unique1").filter(col("unique1") < 100).max() == 99.0)
     val upper = df("stringu1").sortValues("stringu1", ascending = false).map("upper").head(5)
-    assert(keys(upper, "stringu1") == keys(local(eager.sortDesc("stringu1").mapUpper("stringu1").head(5)), "stringu1"))
+    val want = eager.sortValues("stringu1", ascending = false).map("stringu1", "upper").head(5)
+    assert(keys(upper, "stringu1") == keys(local(want), "stringu1"))
   }
 
   test("a string literal that starts with $ is a string, not a field path, on every backend") {
@@ -370,26 +394,28 @@ class BenchmarkExpressionsSpec extends SparkSpec {
     forAllBackends { (c, df, _) => assert(keys(pf(df), attr) == want, c.name) }
   }
 
-  private def tenIs4(e: EagerFrame) = e.filter(e.maskEq("ten", 4))
+  private val tenIs4 = col("ten") === 4
 
   test("heads after sort→filter, sort→filter→sort→select, sort→select and sort→map agree with EagerFrame") {
-    headAgrees("unique1")(_.sortValues("unique1", ascending = false).filter(col("ten") === 4).head(5))(
-      e => tenIs4(e.sortDesc("unique1")).head(5))
-    headAgrees("unique2")(_.sortValues("unique1", ascending = false).filter(col("ten") === 4)
+    headAgrees("unique1")(_.sortValues("unique1", ascending = false).filter(tenIs4).head(5))(
+      _.sortValues("unique1", ascending = false).filter(tenIs4).head(5))
+    headAgrees("unique2")(_.sortValues("unique1", ascending = false).filter(tenIs4)
       .sortValues("unique2", ascending = false).select("unique2", "ten").head(5))(
-      e => tenIs4(e.sortDesc("unique1")).sortDesc("unique2").select("unique2", "ten").head(5))
+      _.sortValues("unique1", ascending = false).filter(tenIs4)
+        .sortValues("unique2", ascending = false).select("unique2", "ten").head(5))
     // the select drops the key, so the sort runs inside it
     headAgrees("unique2")(_.sortValues("unique1", ascending = false).select("unique2").head(5))(
-      _.sortDesc("unique1").select("unique2").head(5))
+      _.sortValues("unique1", ascending = false).select("unique2").head(5))
     headAgrees("stringu1")(_.sortValues("stringu1", ascending = false).select("stringu1").map("upper").head(5))(
-      _.sortDesc("stringu1").mapUpper("stringu1").head(5))
+      _.sortValues("stringu1", ascending = false).map("stringu1", "upper").head(5))
   }
 
   test("a count and a group-by after a sort agree with EagerFrame on every backend") {
-    val want = local(eager.sortDesc("unique1").groupByCount("twenty")).canonicalRows
+    val sortedEager = eager.sortValues("unique1", ascending = false)
+    val want = local(sortedEager.groupByAgg("twenty", "count", "twenty")).canonicalRows
     forAllBackends { (c, df, _) =>
       val sorted = df.sortValues("unique1", ascending = false)
-      assert(sorted.filter(col("ten") === 4).count() == tenIs4(eager.sortDesc("unique1")).length, c.name)
+      assert(sorted.filter(tenIs4).count() == sortedEager.filter(tenIs4).length, c.name)
       assert(sorted.groupBy("twenty").agg("count").collectAll().canonicalRows == want, c.name)
     }
   }
