@@ -4,6 +4,7 @@ import java.sql.DriverManager
 import scala.collection.mutable
 import scala.util.Using
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types._
 import org.duckdb.DuckDBConnection
 import repro.core.{DatabaseConnector, LanguageConfig, LocalResult}
@@ -12,17 +13,47 @@ import repro.cypher.MiniCypher
 import repro.mongo.MiniMongo
 import repro.util.{JArr, Json}
 
-/** A connector whose backend runs on Spark: it turns the shipped query
-  * into an un-collected DataFrame (`plan`), and every action collects that
-  * plan the same way. Tests call `plan` to inspect the plan the backend
-  * runs (e.g. that Catalyst collapses the per-operation nesting).
+/** A connector whose backend runs on Spark: it stores each collection in
+  * the layout [[SparkBacked.stored]] gives it, turns the shipped query into
+  * an un-collected DataFrame over those collections (`plan`), and every
+  * action collects that plan the same way. Tests call `plan` to inspect the
+  * plan the backend runs (e.g. that Catalyst collapses the per-operation
+  * nesting).
   */
 trait SparkBacked extends DatabaseConnector {
+  protected val collections = mutable.Map.empty[String, DataFrame]
+
+  override def initialize(namespace: String, collection: String, data: DataFrame): Unit =
+    collections(collection) = SparkBacked.stored(data)
+
   /** The DataFrame for an already pre-processed query. */
   def plan(shipped: String, baseCollection: String): DataFrame
 
   final override def execute(query: String, baseCollection: String): LocalResult =
     LocalResult.fromDF(plan(query, baseCollection))
+}
+
+object SparkBacked {
+
+  /** `data` in as many partitions as Spark splits a stored table of its
+    * size into (`FilePartition.maxSplitBytes`): a split of
+    * `min(maxPartitionBytes, max(openCostInBytes, size / minPartitionNum))`
+    * bytes, `size` being the optimizer's estimate. A collection with more
+    * partitions than that is coalesced, which is narrow: no shuffle, and it
+    * reads `data`'s cache. Any other is kept as it is. A collection of one
+    * partition lets an aggregate, group-by or join plan no exchange, so
+    * AQE runs the action as one job.
+    */
+  def stored(data: DataFrame): DataFrame = {
+    val conf  = data.sparkSession.sessionState.conf
+    val size  = data.queryExecution.optimizedPlan.stats.sizeInBytes
+    val cores = conf.filesMinPartitionNum
+      .orElse(conf.getConf(SQLConf.LEAF_NODE_DEFAULT_PARALLELISM))
+      .getOrElse(data.sparkSession.sparkContext.defaultParallelism)
+    val split = BigInt(conf.filesMaxPartitionBytes).min(BigInt(conf.filesOpenCostInBytes).max(size / cores))
+    val parts = ((size + split - 1) / split).max(1)
+    if (parts < data.queryExecution.toRdd.getNumPartitions) data.coalesce(parts.toInt) else data
+  }
 }
 
 /** Spark SQL connector — the primary retarget of this reproduction.
@@ -36,8 +67,10 @@ final class SparkSqlConnector(val spark: SparkSession,
     extends SparkBacked {
   override def name = "PolyFrame-SparkSQL"
 
-  override def initialize(namespace: String, collection: String, data: DataFrame): Unit =
-    data.createOrReplaceTempView(collection)
+  override def initialize(namespace: String, collection: String, data: DataFrame): Unit = {
+    super.initialize(namespace, collection, data)
+    collections(collection).createOrReplaceTempView(collection)
+  }
 
   override def plan(shipped: String, baseCollection: String): DataFrame = spark.sql(shipped)
 }
@@ -126,10 +159,6 @@ final class MongoConnector(val spark: SparkSession,
                            override val lang: LanguageConfig = Languages.mongo)
     extends SparkBacked {
   override def name = "PolyFrame-MiniMongo"
-  private val collections = mutable.Map.empty[String, DataFrame]
-
-  override def initialize(namespace: String, collection: String, data: DataFrame): Unit =
-    collections(collection) = data
 
   override def preProcess(query: String, baseCollection: String): String = s"[ $query ]"
 
@@ -155,12 +184,11 @@ final class CypherConnector(val spark: SparkSession,
                             override val lang: LanguageConfig = Languages.cypher)
     extends SparkBacked {
   override def name = "PolyFrame-MiniCypher"
-  private val collections = mutable.Map.empty[String, DataFrame]
-  private val counts      = mutable.Map.empty[String, Long]
+  private val counts = mutable.Map.empty[String, Long]
 
   override def initialize(namespace: String, collection: String, data: DataFrame): Unit = {
-    collections(collection) = data
-    counts(collection) = data.count() // Neo4j maintains its counts store at write time
+    super.initialize(namespace, collection, data)
+    counts(collection) = collections(collection).count() // Neo4j maintains its counts store at write time
   }
 
   override def plan(shipped: String, baseCollection: String): DataFrame =
