@@ -3,7 +3,7 @@ package repro.bench
 import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.connector._
-import repro.core.{DatabaseConnector, PolyFrame}
+import repro.core.{DatabaseConnector, Frame, PolyFrame}
 import repro.core.dsl._
 import repro.eager.{EagerFrame, EagerOutOfMemoryException, MemoryBudget}
 import repro.wisconsin.WisconsinData
@@ -31,6 +31,27 @@ object Benchmark {
     "10 Selection", "11 Range Selection", "12 Join & Count",
     "13 Count Missing Value")
 
+  /** Expression i (1-based) of Table III on `df`, joining `df2` in
+    * expression 12; returns a digest for sanity checks. One definition
+    * serves PolyFrame on every connector and the eager baseline.
+    */
+  def expression[F <: Frame[F]](i: Int, df: F, df2: F): Any = i match {
+    case 1  => df.count()
+    case 2  => df.select("two", "four").head(5).size
+    case 3  => df.filter(col("ten") === X3 && col("twentyPercent") === Y3 && col("two") === Z3).count()
+    case 4  => df.groupBy("oddOnePercent").agg("count").collectAll().size
+    case 5  => df("stringu1").map("upper").head(5).size
+    case 6  => df("unique1").max()
+    case 7  => df("unique1").min()
+    case 8  => df.groupBy("twenty").agg("max", "four").collectAll().size
+    case 9  => df.sortValues("unique1", ascending = false).head(5).size
+    case 10 => df.filter(col("ten") === X10).head(5).size
+    case 11 => df.filter(col("onePercent") >= X11 && col("onePercent") <= Y11).count()
+    case 12 => df.join(df2, "unique1", "unique1").count()
+    case 13 => df.filter(col("tenPercent").isna).count()
+    case _  => throw new IllegalArgumentException(s"no expression $i")
+  }
+
   /** One benchmarkable system: a creation step plus 13 expressions. */
   trait Target {
     def name: String
@@ -55,27 +76,12 @@ object Benchmark {
       df2 = PolyFrame(connector, namespace, rightCollection, WisconsinData.columns)
     }
 
-    override def runExpr(i: Int): Any = i match {
-      case 1  => df.count()
-      case 2  => df.select("two", "four").head(5).size
-      case 3  => df.filter(col("ten") === X3 && col("twentyPercent") === Y3 && col("two") === Z3).count()
-      case 4  => df.groupBy("oddOnePercent").agg("count").collectAll().size
-      case 5  => df("stringu1").map("upper").head(5).size
-      case 6  => df("unique1").max()
-      case 7  => df("unique1").min()
-      case 8  => df.groupBy("twenty").agg("max", "four").collectAll().size
-      case 9  => df.sortValues("unique1", ascending = false).head(5).size
-      case 10 => df.filter(col("ten") === X10).head(5).size
-      case 11 => df.filter(col("onePercent") >= X11 && col("onePercent") <= Y11).count()
-      case 12 => df.join(df2, "unique1", "unique1").count()
-      case 13 => df.filter(col("tenPercent").isna).count()
-      case _  => throw new IllegalArgumentException(s"no expression $i")
-    }
+    override def runExpr(i: Int): Any = expression(i, df, df2)
   }
 
-  /** The eager Pandas baseline over the JSON file, with PolyFrame's
-    * expressions and verbs. The benchmark joins "two identical datasets",
-    * so the same loaded frame serves as both sides of expression 12.
+  /** The eager Pandas baseline over the JSON file. The benchmark joins
+    * "two identical datasets", so the same loaded frame serves as both
+    * sides of expression 12.
     */
   final class EagerTarget(jsonPath: Path, budget: MemoryBudget) extends Target {
     override def name = "Pandas(eager)"
@@ -92,22 +98,7 @@ object Benchmark {
 
     override def runExpr(i: Int): Any = {
       budget.resetTransient()
-      i match {
-        case 1  => df.length
-        case 2  => df.select("two", "four").head(5).length
-        case 3  => df.filter(col("ten") === X3 && col("twentyPercent") === Y3 && col("two") === Z3).length
-        case 4  => df.groupByAgg("oddOnePercent", "count", "oddOnePercent").length
-        case 5  => df.map("stringu1", "upper").head(5).length
-        case 6  => df.max("unique1")
-        case 7  => df.min("unique1")
-        case 8  => df.groupByAgg("twenty", "max", "four").length
-        case 9  => df.sortValues("unique1", ascending = false).head(5).length
-        case 10 => df.filter(col("ten") === X10).head(5).length
-        case 11 => df.filter(col("onePercent") >= X11 && col("onePercent") <= Y11).length
-        case 12 => df.merge(df, "unique1", "unique1").length
-        case 13 => df.filter(col("tenPercent").isna).length
-        case _  => throw new IllegalArgumentException(s"no expression $i")
-      }
+      expression(i, df, df)
     }
   }
 

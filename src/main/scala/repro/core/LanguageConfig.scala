@@ -112,7 +112,9 @@ object LanguageConfig {
     case null      => lang.template("LITERALS", "null")
     case s: String => substitute(lang.template("LITERALS", "string"), Map("value" -> escape(s, lang)))
     case b: Boolean => b.toString
-    case d: Double if d.isWhole => d.toLong.toString
+    // A whole double below 1e15, the bound `LocalResult.normalize` uses, is
+    // an integer; any other keeps Java's form (`1.0E19`, `1.0E-4`)
+    case d: Double if d.isWhole && math.abs(d) < 1e15 => d.toLong.toString
     case other     => other.toString
   }
 

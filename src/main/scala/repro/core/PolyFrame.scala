@@ -46,7 +46,7 @@ final class PolyFrame private (
       * fast-paths like Neo4j's instant count.
       */
     val isBase: Boolean,
-) {
+) extends Frame[PolyFrame] {
   private def lang: LanguageConfig = connector.lang
 
   /** The underlying query without the pending sort: the base, one
@@ -143,7 +143,7 @@ final class PolyFrame private (
     * sort: Pandas' default sort is not stable, so ties are unspecified.
     * A sorted series is still a series.
     */
-  def sortValues(attr: String, ascending: Boolean = true): PolyFrame =
+  def sortValues(attr: String, ascending: Boolean): PolyFrame =
     pending(sort = Some(attr -> ascending))
 
   /** Group by — `df.groupby(keys)`, combined with [[Grouped.agg]]. */
@@ -218,7 +218,7 @@ final class PolyFrame private (
   // ---------------------------------------------------------------- actions
 
   /** First n rows — appends the LIMIT rule and evaluates. */
-  def head(n: Int = 5): LocalResult = connector.run(headQuery(n), baseCollection)
+  def head(n: Int): LocalResult = connector.run(headQuery(n), baseCollection)
 
   /** Materialize all rows (internal helper for small results). */
   def collectAll(): LocalResult = connector.run(collectQuery, baseCollection)
@@ -281,7 +281,7 @@ object PolyFrame {
   }
 
   /** Deferred group-by: `df.groupby(keys).agg(...)`. */
-  final case class Grouped(pf: PolyFrame, keys: Seq[String]) {
+  final case class Grouped(pf: PolyFrame, keys: Seq[String]) extends Frame.Grouped[PolyFrame] {
     require(keys.nonEmpty, "groupBy needs at least one key")
 
     /** `agg('count')` — aggregate over the group key(s), as the paper's

@@ -57,7 +57,7 @@ object Languages {
       |[LOGICAL STATEMENTS]
       |and = $left AND $right
       |or = ($left OR $right)
-      |not = NOT ($left)
+      |not = NOT coalesce($left, false)
       |
       |[COMPARISON STATEMENTS]
       |eq = $left = $right
@@ -130,7 +130,7 @@ object Languages {
       |[LOGICAL STATEMENTS]
       |and = $left AND $right
       |or = ($left OR $right)
-      |not = NOT ($left)
+      |not = (($left) IS NOT TRUE)
       |
       |[COMPARISON STATEMENTS]
       |eq = $left = $right
@@ -345,7 +345,7 @@ object Languages {
       |[LOGICAL STATEMENTS]
       |and = $left AND $right
       |or = ($left OR $right)
-      |not = NOT ($left)
+      |not = NOT coalesce($left, false)
       |
       |[COMPARISON STATEMENTS]
       |eq = $left = $right

@@ -65,6 +65,14 @@ object CypherExpr {
       else if (c.isDigit) {
         val start = i
         while (i < input.length && (input(i).isDigit || input(i) == '.')) i += 1
+        // an exponent, as Java prints a double: `1.0E-4`, `1.23456785E7`
+        if (i < input.length && (input(i) == 'e' || input(i) == 'E')) {
+          val digits = if (i + 1 < input.length && (input(i + 1) == '+' || input(i + 1) == '-')) i + 2 else i + 1
+          if (digits < input.length && input(digits).isDigit) {
+            i = digits
+            while (i < input.length && input(i).isDigit) i += 1
+          }
+        }
         out += TNum(input.substring(start, i).toDouble)
       }
       else if (c.isLetter || c == '_') {
@@ -235,6 +243,7 @@ object CypherExpr {
     case "lower"     => s"lower(${toSql(args.head)})"
     case "tointeger" => s"CAST(${toSql(args.head)} AS BIGINT)"
     case "tostring"  => s"CAST(${toSql(args.head)} AS STRING)"
+    case "coalesce"  => s"coalesce(${args.map(toSql).mkString(", ")})"
     case other       => throw CypherParseError(s"unsupported function $other")
   }
 

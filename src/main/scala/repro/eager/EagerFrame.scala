@@ -1,11 +1,12 @@
 package repro.eager
 
 import java.nio.file.{Files, Path}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import org.json4s._
 import org.json4s.jackson.JsonMethods.compact
-import repro.core.PFExpr
+import repro.core.{Frame, LocalResult, PFExpr}
 import repro.core.PFExpr._
 import repro.util.Json
 
@@ -45,45 +46,68 @@ object MemoryBudget {
 }
 
 /** EagerFrame: the Pandas stand-in — a driver-local, single-threaded,
-  * eagerly-materializing dataframe with PolyFrame's verbs over `PFExpr`.
-  * Every operation immediately computes and copies its result (charging
-  * the memory budget), exactly the evaluation strategy the paper
-  * contrasts PolyFrame's laziness against.
+  * eagerly-materializing dataframe with PolyFrame's verbs ([[Frame]]) over
+  * `PFExpr`. Every transformation immediately computes its result, the
+  * evaluation strategy the paper contrasts PolyFrame's laziness against.
+  * As in Pandas, `df[attr]` is a view of its frame's column, and every
+  * other transformation builds a copy and charges it to the memory budget.
   */
-final class EagerFrame(
+final class EagerFrame private (
     val columns: Vector[String],
-    val rows: Array[Array[Any]],
+    /** The rows this frame reads: its own, or a series view's frame's. */
+    private val data: Array[Array[Any]],
+    /** For a series view, the position of its column in `data`'s rows. */
+    private val view: Option[Int],
     val budget: MemoryBudget,
-    chargeAs: String = "transient",
-) {
+) extends Frame[EagerFrame] {
   import EagerFrame._
-  val sizeBytes: Long = estimate(rows)
-  if (chargeAs == "base") budget.allocBase(sizeBytes, "dataframe")
-  else budget.allocTransient(sizeBytes, "intermediate dataframe")
 
-  def length: Long = rows.length.toLong
+  /** The estimated bytes of this frame's own rows; a view owns none. */
+  lazy val sizeBytes: Long = if (view.isDefined) 0L else estimate(data)
+
+  /** The rows, one value per column. */
+  def rows: Array[Array[Any]] = data.map(row)
+
+  /** A row of `data` as this frame's columns. */
+  private def row(r: Array[Any]): Array[Any] = view.fold(r)(j => Array[Any](r(j)))
+
   private def idx(c: String): Int = {
     val i = columns.indexOf(c)
     require(i >= 0, s"no column '$c' in $columns")
-    i
+    view.getOrElse(i)
   }
 
-  def column(c: String): Array[Any] = { val i = idx(c); rows.map(_(i)) }
+  /** The position in `data`'s rows of a series' one column. */
+  private def series(verb: String): Int =
+    if (columns.size == 1) idx(columns.head)
+    else throw new IllegalStateException(s"$verb() requires a single-attribute series")
+
+  /** A copy holding `rs`, charged to the budget as an intermediate: the
+    * one place a transformation or `head` charges.
+    */
+  private def copied(cols: Vector[String], rs: Array[Array[Any]]): EagerFrame = {
+    val f = new EagerFrame(cols, rs, None, budget)
+    budget.allocTransient(f.sizeBytes, "intermediate dataframe")
+    f
+  }
 
   // ------------------------------------------------------- eager operations
 
   /** Column projection — copies the selected columns. */
-  def select(cols: String*): EagerFrame = {
-    val is = cols.map(idx)
-    new EagerFrame(cols.toVector, rows.map(r => is.map(r(_)).toArray), budget)
+  def select(attrs: String*): EagerFrame = {
+    val is = attrs.map(idx)
+    copied(attrs.toVector, data.map(r => is.map(r(_)).toArray))
   }
+
+  /** `df[attr]` — a view of the column, uncopied and uncharged. */
+  def apply(attr: String): EagerFrame = new EagerFrame(Vector(attr), data, Some(idx(attr)), budget)
 
   /** `df[cond]` — evaluates `cond` over every row, then materializes the
     * filtered copy.
     */
   def filter(cond: PFExpr): EagerFrame = {
     val m = mask(cond)
-    new EagerFrame(columns, rows.indices.collect { case i if m(i) => rows(i) }.toArray, budget)
+    copied(columns, data.indices.collect { case i if m(i) => row(data(i)) }.toArray)
   }
 
   /** The boolean Series `e` evaluates to. As in Pandas, each comparison,
@@ -94,75 +118,103 @@ final class EagerFrame(
     val bits = e match {
       case Cmp(op, l, r) =>
         val (holds, a, b) = (comparisons.getOrElse(op, throw unsupported(e)), value(l), value(r))
-        Array.tabulate(rows.length)(i => if (a(i) == null || b(i) == null) op == "ne" else holds(order(a(i), b(i))))
+        Array.tabulate(data.length)(i => if (a(i) == null || b(i) == null) op == "ne" else holds(order(a(i), b(i))))
       case Logical(op @ ("and" | "or"), l, r) =>
         val (a, b) = (mask(l), mask(r))
-        Array.tabulate(rows.length)(i => if (op == "and") a(i) && b(i) else a(i) || b(i))
+        Array.tabulate(data.length)(i => if (op == "and") a(i) && b(i) else a(i) || b(i))
       case Not(x)  => mask(x).map(!_)
-      case IsNa(x) => val a = value(x); Array.tabulate(rows.length)(a(_) == null)
+      case IsNa(x) => val a = value(x); Array.tabulate(data.length)(a(_) == null)
       case _       => throw unsupported(e)
     }
-    budget.allocTransient(rows.length.toLong, "boolean mask")
+    budget.allocTransient(data.length.toLong, "boolean mask")
     bits
   }
 
   /** A column or a literal, read in place: neither is charged. */
   private def value(e: PFExpr): Int => Any = e match {
-    case Attr(a) => val j = idx(a); rows(_)(j)
+    case Attr(a) => val j = idx(a); data(_)(j)
     case Lit(v)  => _ => v
     case _       => throw unsupported(e)
   }
 
-  def head(n: Int = 5): EagerFrame = new EagerFrame(columns, rows.take(n), budget)
-
-  /** `df[attr].map(fn)` for fn in upper/lower — computes the whole new
-    * column before any head()/limit.
+  /** `s.map(fn)` for fn in upper/lower — computes the whole new column
+    * before any head()/limit.
     */
-  def map(attr: String, fn: String): EagerFrame = {
+  def map(fn: String): EagerFrame = {
+    val j = series("map")
     val f: String => String = fn match {
       case "upper" => _.toUpperCase
       case "lower" => _.toLowerCase
-      case _       => throw unsupported(Func(fn, Attr(attr)))
+      case _       => throw unsupported(Func(fn, Attr(columns.head)))
     }
-    val i = idx(attr)
-    new EagerFrame(Vector(attr), rows.map(r => Array[Any](if (r(i) == null) null else f(r(i).toString))), budget)
-  }
-
-  def max(c: String): Double = { val i = idx(c); rows.iterator.map(_(i)).filter(_ != null).map(toD).max }
-  def min(c: String): Double = { val i = idx(c); rows.iterator.map(_(i)).filter(_ != null).map(toD).min }
-
-  /** `df.groupby(key)[attr].agg(fn)` for fn in count/max: one row per
-    * present key, keys sorted as Pandas sorts them, with columns `key` and
-    * `<fn>_<attr>` as PolyFrame names them. `count` counts the present
-    * values; `max` is the greatest present value, missing if there is none.
-    */
-  def groupByAgg(key: String, fn: String, attr: String): EagerFrame = {
-    val agg: Array[Any] => Any = fn match {
-      case "count" => _.length.toLong
-      case "max"   => vs => if (vs.isEmpty) null else vs.reduce((m, v) => if (order(v, m) > 0) v else m)
-      case _       => throw new UnsupportedOperationException(s"EagerFrame has no aggregate '$fn'")
-    }
-    val (k, a) = (idx(key), idx(attr))
-    val groups = rows.filter(_(k) != null).groupBy(_(k)).toArray.sortWith((x, y) => order(x._1, y._1) < 0)
-    new EagerFrame(Vector(key, s"${fn}_$attr"), groups.map { case (g, rs) => Array[Any](g, agg(rs.map(_(a)).filter(_ != null))) }, budget)
+    copied(columns, data.map(r => Array[Any](if (r(j) == null) null else f(r(j).toString))))
   }
 
   /** `sort_values(attr, ascending)` — a full sorted copy (Pandas sorts
     * before head), missing values last in both directions.
     */
-  def sortValues(attr: String, ascending: Boolean = true): EagerFrame = {
-    val i = idx(attr)
-    val (present, missing) = rows.partition(_(i) != null)
-    val sorted = present.sortWith((a, b) => if (ascending) order(a(i), b(i)) < 0 else order(b(i), a(i)) < 0)
-    new EagerFrame(columns, sorted ++ missing, budget)
+  def sortValues(attr: String, ascending: Boolean): EagerFrame = {
+    val j = idx(attr)
+    val (present, missing) = data.partition(_(j) != null)
+    val sorted = present.sortWith((a, b) => if (ascending) order(a(j), b(j)) < 0 else order(b(j), a(j)) < 0)
+    copied(columns, (sorted ++ missing).map(row))
   }
 
   /** Inner hash equi-join (`pd.merge`). */
-  def merge(other: EagerFrame, leftOn: String, rightOn: String): EagerFrame = {
-    val (li, ri) = (idx(leftOn), other.idx(rightOn))
-    val table = other.rows.filter(_(ri) != null).groupBy(_(ri))
-    val out   = rows.filter(_(li) != null).flatMap(l => table.getOrElse(l(li), Array.empty[Array[Any]]).map(l ++ _))
-    new EagerFrame(columns ++ other.columns, out, budget)
+  def join(right: EagerFrame, leftOn: String, rightOn: String): EagerFrame = {
+    val (li, ri) = (idx(leftOn), right.idx(rightOn))
+    val table = right.data.filter(_(ri) != null).groupBy(_(ri))
+    val out = data.filter(_(li) != null).flatMap(l =>
+      table.getOrElse(l(li), Array.empty[Array[Any]]).map(r => row(l) ++ right.row(r)))
+    copied(columns ++ right.columns, out)
+  }
+
+  /** `df.groupby(keys)`: `agg(fn)` aggregates the keys themselves. */
+  def groupBy(keys: String*): Frame.Grouped[EagerFrame] = new Frame.Grouped[EagerFrame] {
+    def agg(fn: String): EagerFrame              = aggregate(keys, keys.map(fn -> _))
+    def agg(fn: String, attr: String): EagerFrame = aggregate(keys, Seq(fn -> attr))
+  }
+
+  /** One row per present key, keys sorted as Pandas sorts them, with the
+    * keys and `<fn>_<attr>` columns as PolyFrame names them. `count` counts
+    * the present values; `max` is the greatest present value, missing if
+    * there is none.
+    */
+  private def aggregate(keys: Seq[String], items: Seq[(String, String)]): EagerFrame = {
+    val aggs = items.map { case (fn, attr) =>
+      val reduce: Array[Any] => Any = fn match {
+        case "count" => _.length.toLong
+        case "max"   => vs => if (vs.isEmpty) null else vs.reduce((m, v) => if (order(v, m) > 0) v else m)
+        case _       => throw new UnsupportedOperationException(s"EagerFrame has no aggregate '$fn'")
+      }
+      val j = idx(attr)
+      (rs: Array[Array[Any]]) => reduce(rs.map(_(j)).filter(_ != null))
+    }
+    val ks = keys.map(idx)
+    val groups = data.filter(r => ks.forall(r(_) != null)).groupBy(r => ks.map(r(_))).toArray
+      .sortWith((x, y) => x._1.lazyZip(y._1).map(order).find(_ != 0).exists(_ < 0))
+    copied(keys.toVector ++ items.map { case (fn, attr) => s"${fn}_$attr" },
+      groups.map { case (k, rs) => (k ++ aggs.map(_(rs))).toArray })
+  }
+
+  // ---------------------------------------------------------------- actions
+
+  /** First n rows; Pandas' `head` copies them. */
+  def head(n: Int): LocalResult = copied(columns, data.take(n).map(row)).collectAll()
+
+  /** Every row, read in place: nothing is charged. */
+  def collectAll(): LocalResult =
+    LocalResult(columns, rows.toIndexedSeq.map(ArraySeq.unsafeWrapArray(_)))
+
+  def count(): Long = data.length.toLong
+
+  def max(): Double = present("max").max
+  def min(): Double = present("min").min
+
+  /** The present values of a series, as numbers. */
+  private def present(verb: String): Iterator[Double] = {
+    val j = series(verb)
+    data.iterator.map(_(j)).filter(_ != null).map(toD)
   }
 }
 
@@ -241,6 +293,13 @@ object EagerFrame {
     // them as transient, which is what makes read_json need ~2× the
     // table's RAM (cf. McKinney's 5-10× rule quoted in the paper).
     budget.allocTransient(estimate(rows), "json parse buffers")
-    new EagerFrame(cols, rows, budget, chargeAs = "base")
+    EagerFrame(cols, rows, budget)
+  }
+
+  /** A loaded dataframe of `rows`, charged as base (long-lived) memory. */
+  def apply(columns: Seq[String], rows: Array[Array[Any]], budget: MemoryBudget): EagerFrame = {
+    val f = new EagerFrame(columns.toVector, rows, None, budget)
+    budget.allocBase(f.sizeBytes, "dataframe")
+    f
   }
 }

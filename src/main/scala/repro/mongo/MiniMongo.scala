@@ -242,7 +242,8 @@ object MiniMongo {
         case "$lte" => binary("<=")
         case "$and" => all("AND")
         case "$or"  => all("OR")
-        case "$not" => s"(NOT ${e(v match { case JArray(List(x)) => x; case x => x })})"
+        // as in MongoDB, `$not` of null or missing is true
+        case "$not" => s"((${e(v match { case JArray(List(x)) => x; case x => x })}) IS NOT TRUE)"
         case "$add"      => binary("+")
         case "$subtract" => binary("-")
         case "$multiply" => binary("*")

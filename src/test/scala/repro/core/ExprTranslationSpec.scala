@@ -79,11 +79,12 @@ class ExprTranslationSpec extends AnyFunSuite {
     assert(translate(e, spark) == "(t.a = 1 OR t.b = 2)")
     assert(translate(e, mongo)
       == """{ "$or": [ { "$eq": [ "$a", 1 ] }, { "$eq": [ "$b", 2 ] } ] }""")
-    assert(translate(!(col("a") === 1), spark) == "NOT (t.a = 1)")
+    // NOT is two-valued, as Pandas' `~`: NOT of a missing comparison is true
+    assert(translate(!(col("a") === 1), spark) == "((t.a = 1) IS NOT TRUE)")
     assert(translate(!(col("a") === 1), mongo) == """{ "$not": [ { "$eq": [ "$a", 1 ] } ] }""")
     // parenthesized, so an OR inside an AND and a NOT of an AND keep their grouping
     assert(translate(e && (col("c") === 3), sql) == """(t."a" = 1 OR t."b" = 2) AND t."c" = 3""")
-    assert(translate(!((col("a") === 1) && (col("b") === 2)), cypher) == "NOT (t.a = 1 AND t.b = 2)")
+    assert(translate(!((col("a") === 1) && (col("b") === 2)), cypher) == "NOT coalesce(t.a = 1 AND t.b = 2, false)")
   }
 
   test("arithmetic operations") {
@@ -138,6 +139,8 @@ class ExprTranslationSpec extends AnyFunSuite {
 
   test("whole double literals render as integers") {
     assert(translate(col("a") === 4.0, spark) == "t.a = 4")
+    // beyond a Long's exact range a double keeps its value, not Long.MaxValue
+    assert(translate(col("a") < 1e19, spark) == "t.a < 1.0E19")
   }
 
   test("series alias derivation") {

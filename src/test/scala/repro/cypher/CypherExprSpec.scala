@@ -13,6 +13,8 @@ class CypherExprSpec extends AnyFunSuite {
   test("parses literals") {
     assert(parse("42") == Num(42))
     assert(parse("4.5") == Num(4.5))
+    assert(parse("1.0E-4") == Num(1e-4))
+    assert(parse("1.23456785E7") == Num(12345678.5))
     assert(parse("\"en\"") == Str("en"))
     assert(parse("'en'") == Str("en"))
     assert(parse("NULL") == NullLit)

@@ -2,7 +2,7 @@ package repro.eager
 
 import repro.SparkSpec
 import repro.bench.Benchmark
-import repro.core.PFExpr
+import repro.core.{LocalResult, PFExpr}
 import repro.core.dsl._
 import repro.wisconsin.WisconsinData
 import java.nio.file.Files
@@ -27,84 +27,88 @@ class EagerFrameSpec extends SparkSpec {
     (d, budget)
   }
 
+  /** The values of column `c` in row order. */
+  private def values(r: LocalResult, c: String): Seq[Any] = r.rows.map(_(r.columns.indexOf(c)))
+  private def column(f: EagerFrame, c: String): Seq[Any] = values(f.collectAll(), c)
+
   test("read_json infers the full schema including sparse attributes") {
     assert(df.columns.toSet == WisconsinData.columns.toSet)
-    assert(df.length == 1000)
+    assert(df.count() == 1000)
   }
 
   test("missing attributes load as nulls") {
-    assert(df.column("tenPercent").count(_ == null) == 100)
+    assert(column(df, "tenPercent").count(_ == null) == 100)
   }
 
   test("select copies the requested columns") {
     val s = df.select("two", "four")
     assert(s.columns == Vector("two", "four"))
-    assert(s.length == 1000)
+    assert(s.count() == 1000)
   }
 
   test("comparison masks materialize full boolean arrays (eager)") {
     val (d, budget) = charged()
     val f = d.filter(col("ten") === 4)
-    assert(f.length == 100)
+    assert(f.count() == 100)
     // one 1,000-byte mask over every row, then the filtered copy
     assert(budget.used - d.sizeBytes == 1000 + f.sizeBytes)
   }
 
   test("mask conjunction (expression 3)") {
-    assert(df.filter(col("ten") === 4 && col("twentyPercent") === 4 && col("two") === 0).length == 100)
+    assert(df.filter(col("ten") === 4 && col("twentyPercent") === 4 && col("two") === 0).count() == 100)
   }
 
   test("filter + head (expression 10)") {
-    assert(df.filter(col("ten") === 4).head(5).length == 5)
+    assert(df.filter(col("ten") === 4).head(5).size == 5)
   }
 
   test("group by count (expression 4)") {
-    val g = df.groupByAgg("oddOnePercent", "count", "oddOnePercent")
+    val g = df.groupBy("oddOnePercent").agg("count")
     assert(g.columns == Vector("oddOnePercent", "count_oddOnePercent"))
-    assert(g.length == 100)
-    assert(g.column(s"count_oddOnePercent").forall(_ == 10L))
+    assert(g.count() == 100)
+    assert(column(g, "count_oddOnePercent").forall(_ == 10L))
   }
 
   test("group by max (expression 8)") {
-    val g = df.groupByAgg("twenty", "max", "four")
+    val g = df.groupBy("twenty").agg("max", "four")
     assert(g.columns == Vector("twenty", "max_four"))
-    assert(g.length == 20)
+    assert(g.count() == 20)
     val m = g.rows.map(r => r(0).asInstanceOf[Long] -> r(1).asInstanceOf[Long]).toMap
     m.foreach { case (twenty, maxFour) => assert(maxFour == twenty % 4) }
   }
 
   test("map upper computes the whole column before head (expression 5)") {
-    val u = df.map("stringu1", "upper")
-    assert(u.length == 1000)
-    assert(u.column("stringu1").forall(v => v.toString == v.toString.toUpperCase))
+    val u = df("stringu1").map("upper")
+    assert(u.count() == 1000)
+    assert(column(u, "stringu1").forall(v => v.toString == v.toString.toUpperCase))
   }
 
   test("max / min (expressions 6, 7)") {
-    assert(df.max("unique1") == 999.0)
-    assert(df.min("unique1") == 0.0)
+    assert(df("unique1").max() == 999.0)
+    assert(df("unique1").min() == 0.0)
   }
 
   test("sort descending materializes a full copy, head picks top (expression 9)") {
     val top = df.sortValues("unique1", ascending = false).head(5)
-    assert(top.column("unique1").map(_.asInstanceOf[Long]).toSeq == Seq(999L, 998L, 997L, 996L, 995L))
+    assert(values(top, "unique1") == Seq(999L, 998L, 997L, 996L, 995L))
   }
 
   test("range mask (expression 11)") {
-    assert(df.filter(col("onePercent") >= 40 && col("onePercent") <= 60).length == 210)
+    assert(df.filter(col("onePercent") >= 40 && col("onePercent") <= 60).count() == 210)
   }
 
-  test("merge inner-joins on keys (expression 12)") {
-    val j = df.merge(df, "unique1", "unique1")
-    assert(j.length == 1000)
+  test("join inner-joins on keys (expression 12)") {
+    val j = df.join(df, "unique1", "unique1")
+    assert(j.count() == 1000)
     assert(j.columns.length == 2 * df.columns.length)
   }
 
   test("isna mask (expression 13)") {
-    assert(df.filter(col("tenPercent").isna).length == 100)
+    assert(df.filter(col("tenPercent").isna).count() == 100)
   }
 
   test("isna is false for present values") {
-    assert(df.filter(col("unique1").isna).length == 0)
+    assert(df.filter(col("unique1").isna).count() == 0)
   }
 
   test("memory budget: load fails when table exceeds budget (the M/L/XL OOM)") {
@@ -142,6 +146,19 @@ class EagerFrameSpec extends SparkSpec {
     assert(big > small)
   }
 
+  test("a series view copies nothing, and its head copies only its column") {
+    val (d, budget) = charged()
+    val before = budget.used
+    val s = d("unique1")
+    assert(s.sizeBytes == 0 && s.columns == Vector("unique1"))
+    assert(s.max() == 999.0 && s.count() == 1000)
+    assert(budget.used == before)
+    val five = s.head(5)
+    assert(five.columns == Seq("unique1") && five.size == 5)
+    // five rows of one boxed value each
+    assert(budget.used == before + 5 * (16 + 16))
+  }
+
   test("eager evaluation order: masks charge budget even if never used") {
     val (d2, budget) = charged()
     val before = budget.used
@@ -162,33 +179,33 @@ class EagerFrameSpec extends SparkSpec {
     val filtered3 = df.filter(col("ten") === 4 && col("twentyPercent") === 4 && col("two") === 0)
     assert(bytes(3) == 5 * 1000 + filtered3.sizeBytes)
     val filtered10 = df.filter(col("ten") === 4)
-    assert(bytes(10) == 1000 + filtered10.sizeBytes + filtered10.head(5).sizeBytes)
+    assert(bytes(10) == 1000 + filtered10.sizeBytes + EagerFrame.estimate(filtered10.rows.take(5)))
     assert(bytes(11) == 3 * 1000 + df.filter(col("onePercent") >= 40 && col("onePercent") <= 60).sizeBytes)
     assert(bytes(13) == 1000 + df.filter(col("tenPercent").isna).sizeBytes)
   }
 
   test("Pandas comparison semantics: missing values, != and text order") {
     // tenPercent is missing on 100 rows and 3 on another 100
-    assert(df.filter(col("tenPercent") =!= 3).length == 900)
-    assert(df.filter(col("tenPercent") === 1 || col("tenPercent") === 2).length == 200)
-    assert(df.filter(col("tenPercent") < 3).length == 200)
+    assert(df.filter(col("tenPercent") =!= 3).count() == 900)
+    assert(df.filter(col("tenPercent") === 1 || col("tenPercent") === 2).count() == 200)
+    assert(df.filter(col("tenPercent") < 3).count() == 200)
     // `~(s >= 3)` negates False, so Pandas keeps the missing rows
-    assert(df.filter(!(col("tenPercent") >= 3)).length == 300)
-    assert(df.filter(col("tenPercent") === null).length == 0)
-    assert(df.filter(col("tenPercent") =!= null).length == 1000)
+    assert(df.filter(!(col("tenPercent") >= 3)).count() == 300)
+    assert(df.filter(col("tenPercent") === null).count() == 0)
+    assert(df.filter(col("tenPercent") =!= null).count() == 1000)
     // stringu1 spells unique1 in base-26 letters: "AAAAB..." is 676, and a prefix sorts first
-    assert(df.filter(col("stringu1") >= "AAAAB").length == 1000 - 676)
-    assert(df.filter(col("stringu1") < "AAAAB").length == 676)
+    assert(df.filter(col("stringu1") >= "AAAAB").count() == 1000 - 676)
+    assert(df.filter(col("stringu1") < "AAAAB").count() == 676)
   }
 
   test("sorts put missing values last in both directions") {
     for (ascending <- Seq(true, false)) {
-      val keys = df.sortValues("tenPercent", ascending).column("tenPercent").toSeq
+      val keys = column(df.sortValues("tenPercent", ascending), "tenPercent")
       assert(keys.takeRight(100).forall(_ == null) && !keys.take(900).contains(null), s"ascending=$ascending")
       val present = keys.take(900).map(_.asInstanceOf[Long])
       assert(present == (if (ascending) present.sorted else present.sorted.reverse), s"ascending=$ascending")
     }
-    val names = df.sortValues("stringu1").column("stringu1").map(_.toString).toSeq
+    val names = column(df.sortValues("stringu1"), "stringu1").map(_.toString)
     assert(names == names.sorted)
   }
 
@@ -196,7 +213,7 @@ class EagerFrameSpec extends SparkSpec {
     val arith = intercept[UnsupportedOperationException](
       df.filter(PFExpr.Cmp("eq", PFExpr.Arith("add", col("ten"), lit(1)), lit(5))))
     assert(arith.getMessage.contains("Arith"))
-    assert(intercept[UnsupportedOperationException](df.map("stringu1", "to_int")).getMessage.contains("to_int"))
-    assert(intercept[UnsupportedOperationException](df.groupByAgg("two", "avg", "four")).getMessage.contains("avg"))
+    assert(intercept[UnsupportedOperationException](df("stringu1").map("to_int")).getMessage.contains("to_int"))
+    assert(intercept[UnsupportedOperationException](df.groupBy("two").agg("avg", "four")).getMessage.contains("avg"))
   }
 }

@@ -184,18 +184,18 @@ class BenchmarkExpressionsSpec extends SparkSpec {
   }
 
   test("ascending sort puts missing values last on Spark and DuckDB (Pandas na_position='last')") {
-    def sorted(c: DatabaseConnector): Seq[Any] = keys(frames(c)._1.sortValues("tenPercent").head(N.toInt), "tenPercent")
+    def sorted(s: Subject): Seq[Any] = keys(s.df.sortValues("tenPercent").head(N.toInt), "tenPercent")
     // tenPercent is missing where it would be 0
-    val (present, missing) = keys(local(eager.sortValues("tenPercent")), "tenPercent").splitAt((N - N / 10).toInt)
+    val (present, missing) = sorted(eagerSubject).splitAt((N - N / 10).toInt)
     assert(present.take(3) == Seq(1L, 1L, 1L) && !present.contains(null) && missing.forall(_ == null))
-    Seq(sparkConn, duckConn, cypherConn).foreach(c => assert(sorted(c) == present ++ missing, c.name))
+    Seq(sparkConn, duckConn, cypherConn).foreach(c => assert(sorted(subject(c)) == present ++ missing, c.name))
     // Open cross-backend difference (DESIGN.md §5): MiniMongo still sorts
     // missing values first on an ascending sort.
-    assert(sorted(mongoConn) == missing ++ present)
+    assert(sorted(subject(mongoConn)) == missing ++ present)
   }
 
   test("an ascending sort's head returns EagerFrame's keys on every backend") {
-    headAgrees("unique1")(_.sortValues("unique1").head(5))(_.sortValues("unique1").head(5))
+    headAgrees("unique1")(_.df.sortValues("unique1").head(5))
   }
 
   // ----------------------------------------------------------- expression 10
@@ -294,27 +294,21 @@ class BenchmarkExpressionsSpec extends SparkSpec {
   }
 
   test("tenPercent != 3 keeps the missing rows on every backend, as EagerFrame does") {
-    val want = eager.filter(col("tenPercent") =!= 3).length
+    val want = agrees(_.df.filter(col("tenPercent") =!= 3).count())
     assert(want == N - N / 10) // 200 rows hold 3, and the 200 missing ones are kept
-    forAllBackends { (c, df, _) => assert(df.filter(col("tenPercent") =!= 3).count() == want, c.name) }
   }
 
   test("stringu1 >= 'AAAAB' orders strings as text on every backend, as EagerFrame does") {
     // stringu1 spells unique1 in base-26 letters, so "AAAAB..." starts at unique1 = 676
-    val cond = col("stringu1") >= "AAAAB"
-    val want = local(eager.filter(cond).select("unique1", "stringu1"))
+    val want = agrees(_.df.filter(col("stringu1") >= "AAAAB").select("unique1", "stringu1").collectAll().canonicalRows)
     assert(want.size == N - 676)
-    forAllBackends { (c, df, _) =>
-      assert(df.filter(cond).select("unique1", "stringu1").collectAll().canonicalRows == want.canonicalRows, c.name)
-    }
   }
 
-  test("a NOT over a comparison drops missing rows on every backend but keeps them on EagerFrame") {
-    // Open difference (DESIGN.md §3): Pandas negates the False that a missing
-    // value compares to, while NOT over SQL's unknown stays unknown.
-    val cond = !(col("tenPercent") >= 3)
-    assert(eager.filter(cond).length == 3 * N / 10)
-    forAllBackends { (c, df, _) => assert(df.filter(cond).count() == 2 * N / 10, c.name) }
+  test("a NOT over a comparison keeps missing rows on every backend, as EagerFrame does") {
+    // Pandas negates the False that a missing value compares to; the rules'
+    // NOT is two-valued too, so NOT over SQL's unknown is true
+    val want = agrees(_.df.filter(!(col("tenPercent") >= 3)).count())
+    assert(want == 3 * N / 10)
   }
 
   test("x != v keeps rows where x is missing on every backend, as Pandas does") {
@@ -334,11 +328,11 @@ class BenchmarkExpressionsSpec extends SparkSpec {
   }
 
   test("a filtered series aggregates and a sorted series maps on DuckDB") {
-    val (df, _) = frames(duckConn)
-    assert(df("unique1").filter(col("unique1") < 100).max() == 99.0)
-    val upper = df("stringu1").sortValues("stringu1", ascending = false).map("upper").head(5)
-    val want = eager.sortValues("stringu1", ascending = false).map("stringu1", "upper").head(5)
-    assert(keys(upper, "stringu1") == keys(local(want), "stringu1"))
+    def program(s: Subject) = (s.df("unique1").filter(col("unique1") < 100).max(),
+      keys(s.df("stringu1").sortValues("stringu1", ascending = false).map("upper").head(5), "stringu1"))
+    val want = program(eagerSubject)
+    assert(want._1 == 99.0)
+    assert(program(subject(duckConn)) == want)
   }
 
   test("a string literal that starts with $ is a string, not a field path, on every backend") {
@@ -376,8 +370,20 @@ class BenchmarkExpressionsSpec extends SparkSpec {
 
   // ------------------------------------------------ sorts wait for the action
 
-  private lazy val eager =
-    new EagerFrame(data.columns.toVector, data.collect().map(_.toSeq.toArray[Any]), MemoryBudget.unlimited)
+  private def subject(c: DatabaseConnector): Subject = { val (df, df2) = frames(c); Subject(c.name, df, df2) }
+
+  /** Pandas' answer: EagerFrame over the same rows, joined to itself as Table III does. */
+  private lazy val eagerSubject = {
+    val eager = EagerFrame(data.columns.toSeq, data.collect().map(_.toSeq.toArray[Any]), MemoryBudget.unlimited)
+    Subject("EagerFrame", eager, eager)
+  }
+
+  /** `program` gives EagerFrame's result on every backend; returns that result. */
+  private def agrees[A](program: Subject => A): A = {
+    val want = program(eagerSubject)
+    backends.foreach(c => assert(program(subject(c)) == want, c.name))
+    want
+  }
 
   /** The values of `attr` in row order. */
   private def keys(r: LocalResult, attr: String): Seq[Any] = {
@@ -385,39 +391,27 @@ class BenchmarkExpressionsSpec extends SparkSpec {
     r.rows.map(row => LocalResult.normalize(row(i)))
   }
 
-  private def local(e: EagerFrame) = LocalResult(e.columns, e.rows.toSeq.map(_.toSeq))
-
   /** A head chain gives EagerFrame's values of `attr`, in order, on every backend. */
-  private def headAgrees(attr: String)(pf: PolyFrame => LocalResult)(ef: EagerFrame => EagerFrame): Unit = {
-    val want = keys(local(ef(eager)), attr)
-    assert(want.size == 5)
-    forAllBackends { (c, df, _) => assert(keys(pf(df), attr) == want, c.name) }
-  }
+  private def headAgrees(attr: String)(program: Subject => LocalResult): Unit =
+    assert(agrees(s => keys(program(s), attr)).size == 5)
 
   private val tenIs4 = col("ten") === 4
 
   test("heads after sort→filter, sort→filter→sort→select, sort→select and sort→map agree with EagerFrame") {
-    headAgrees("unique1")(_.sortValues("unique1", ascending = false).filter(tenIs4).head(5))(
-      _.sortValues("unique1", ascending = false).filter(tenIs4).head(5))
-    headAgrees("unique2")(_.sortValues("unique1", ascending = false).filter(tenIs4)
-      .sortValues("unique2", ascending = false).select("unique2", "ten").head(5))(
-      _.sortValues("unique1", ascending = false).filter(tenIs4)
-        .sortValues("unique2", ascending = false).select("unique2", "ten").head(5))
+    headAgrees("unique1")(_.df.sortValues("unique1", ascending = false).filter(tenIs4).head(5))
+    headAgrees("unique2")(_.df.sortValues("unique1", ascending = false).filter(tenIs4)
+      .sortValues("unique2", ascending = false).select("unique2", "ten").head(5))
     // the select drops the key, so the sort runs inside it
-    headAgrees("unique2")(_.sortValues("unique1", ascending = false).select("unique2").head(5))(
-      _.sortValues("unique1", ascending = false).select("unique2").head(5))
-    headAgrees("stringu1")(_.sortValues("stringu1", ascending = false).select("stringu1").map("upper").head(5))(
-      _.sortValues("stringu1", ascending = false).map("stringu1", "upper").head(5))
+    headAgrees("unique2")(_.df.sortValues("unique1", ascending = false).select("unique2").head(5))
+    headAgrees("stringu1")(_.df.sortValues("stringu1", ascending = false).select("stringu1").map("upper").head(5))
   }
 
   test("a count and a group-by after a sort agree with EagerFrame on every backend") {
-    val sortedEager = eager.sortValues("unique1", ascending = false)
-    val want = local(sortedEager.groupByAgg("twenty", "count", "twenty")).canonicalRows
-    forAllBackends { (c, df, _) =>
-      val sorted = df.sortValues("unique1", ascending = false)
-      assert(sorted.filter(tenIs4).count() == sortedEager.filter(tenIs4).length, c.name)
-      assert(sorted.groupBy("twenty").agg("count").collectAll().canonicalRows == want, c.name)
+    val (count, groups) = agrees { s =>
+      val sorted = s.df.sortValues("unique1", ascending = false)
+      (sorted.filter(tenIs4).count(), sorted.groupBy("twenty").agg("count").collectAll().canonicalRows)
     }
+    assert(count == N / 10 && groups.size == 20)
   }
 
   test("DuckDB runs one sort for a head over a 3-sort chain and none for its count") {
