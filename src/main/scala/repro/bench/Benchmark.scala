@@ -59,7 +59,6 @@ object Benchmark {
     def create(): Unit
     /** Run expression i (1-based); returns a digest for sanity checks. */
     def runExpr(i: Int): Any
-    def close(): Unit = ()
   }
 
   /** PolyFrame on any backend connector. The connector must already be

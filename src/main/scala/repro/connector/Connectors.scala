@@ -166,13 +166,6 @@ final class MongoConnector(val spark: SparkSession,
     case pipeline: JArr => MiniMongo.run(collections(baseCollection), pipeline, collections(_))
     case _ => throw MiniMongo.MongoError(s"a pipeline must be a JSON array: $shipped")
   }
-
-  /** Strip MongoDB's internal `_id` if a pipeline ever leaks it. */
-  override def postProcess(result: LocalResult): LocalResult = {
-    val idx = result.columns.indexOf("_id")
-    if (idx < 0) result
-    else LocalResult(result.columns.patch(idx, Nil, 1), result.rows.map(_.patch(idx, Nil, 1)))
-  }
 }
 
 /** Cypher/Neo4j connector — MiniCypher executes the generated Cypher on

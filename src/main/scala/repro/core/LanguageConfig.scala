@@ -88,9 +88,9 @@ object LanguageConfig {
     case PFExpr.Attr(name) =>
       lang.sub("ATTRIBUTES", "single_attribute", "attribute" -> name)
     case PFExpr.Lit(v) => literal(v, lang)
-    // Pandas: `x == None` is false and `x != None` true for every row, missing or not
-    case PFExpr.Cmp(op @ ("eq" | "ne"), l, r) if l == PFExpr.Lit(null) || r == PFExpr.Lit(null) =>
-      literal(op == "ne", lang)
+    // Pandas: `x == None` is false on every row, and `x != y` is `~(x == y)`
+    case PFExpr.Cmp("eq", l, r) if l == PFExpr.Lit(null) || r == PFExpr.Lit(null) => literal(false, lang)
+    case PFExpr.Cmp("ne", l, r) => translate(PFExpr.Not(PFExpr.Cmp("eq", l, r)), lang)
     case PFExpr.Cmp(op, l, r) =>
       lang.sub("COMPARISON STATEMENTS", op, "left" -> translate(l, lang), "right" -> translate(r, lang))
     case PFExpr.Arith(op, l, r) =>

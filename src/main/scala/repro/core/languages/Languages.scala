@@ -12,7 +12,10 @@ import repro.core.LanguageConfig
   *  - `[ATTRIBUTES]` reference/alias/sort-item/separator templates, and the
   *    group-by pair: `group_key` names a key in the grouping clause
   *    (`$keys`), `group_output` carries it in the result (`$key_outputs`)
-  *  - `[ARITHMETIC|LOGICAL|COMPARISON STATEMENTS]`, `[TYPE CONVERSION]` and
+  *  - `[COMPARISON STATEMENTS]` eq / gt / lt / ge / le / isna, and no `ne`:
+  *    `translate` writes `x != y` as `not` over `eq`, so `not` must be
+  *    two-valued (true where its operand is false or unknown), as Pandas' `~`
+  *  - `[ARITHMETIC|LOGICAL STATEMENTS]`, `[TYPE CONVERSION]` and
   *    `[STRING FUNCTIONS]` (the only scalar functions, e.g. for `map`),
   *    `[LITERALS]` (with the per-language `escaped_chars`/`escape` rule
   *    for string values), `[FUNCTIONS]` (aggregates), `[LIMIT]`
@@ -61,7 +64,6 @@ object Languages {
       |
       |[COMPARISON STATEMENTS]
       |eq = $left = $right
-      |ne = ($left != $right OR $left IS UNKNOWN)
       |gt = $left > $right
       |lt = $left < $right
       |ge = $left >= $right
@@ -134,7 +136,6 @@ object Languages {
       |
       |[COMPARISON STATEMENTS]
       |eq = $left = $right
-      |ne = ($left != $right OR $left IS NULL)
       |gt = $left > $right
       |lt = $left < $right
       |ge = $left >= $right
@@ -265,7 +266,6 @@ object Languages {
       |
       |[COMPARISON STATEMENTS]
       |eq = { "$eq": [ $left, $right ] }
-      |ne = { "$ne": [ $left, $right ] }
       |gt = { "$gt": [ $left, $right ] }
       |lt = { "$lt": [ $left, $right ] }
       |ge = { "$gte": [ $left, $right ] }
@@ -349,7 +349,6 @@ object Languages {
       |
       |[COMPARISON STATEMENTS]
       |eq = $left = $right
-      |ne = ($left <> $right OR $left IS NULL)
       |gt = $left > $right
       |lt = $left < $right
       |ge = $left >= $right

@@ -1,5 +1,6 @@
 package repro.cypher
 
+import MiniCypher.CypherError
 import repro.util.SparkSql.{ident, number, string}
 
 /** Expression AST + parser for the Cypher subset PolyFrame emits.
@@ -24,8 +25,6 @@ object CypherExpr {
   final case class NotOp(e: Ast)                       extends Ast
   final case class IsNull(e: Ast, negated: Boolean)    extends Ast
   final case class Call(fn: String, args: List[Ast])   extends Ast
-
-  final case class CypherParseError(msg: String) extends RuntimeException(msg)
 
   val aggregateFns: Set[String] = Set("min", "max", "avg", "sum", "count", "stdevp")
 
@@ -58,7 +57,7 @@ object CypherExpr {
           if (input(i) == '\\' && i + 1 < input.length) { sb.append(input(i + 1)); i += 2 }
           else { sb.append(input(i)); i += 1 }
         }
-        if (i >= input.length) throw CypherParseError(s"unterminated string in: $input")
+        if (i >= input.length) throw CypherError(s"unterminated string in: $input")
         i += 1
         out += TStr(sb.toString)
       }
@@ -84,7 +83,7 @@ object CypherExpr {
         val two = if (i + 1 < input.length) input.substring(i, i + 2) else ""
         if (Set(">=", "<=", "<>").contains(two)) { out += TOp(two); i += 2 }
         else if ("=<>()+-*/%,.{}:".contains(c))  { out += TOp(c.toString); i += 1 }
-        else throw CypherParseError(s"unexpected character '$c' in: $input")
+        else throw CypherError(s"unexpected character '$c' in: $input")
       }
     }
     out.result()
@@ -96,7 +95,7 @@ object CypherExpr {
     def peek: Option[Tok] = toks.headOption
     def next(): Tok = toks match {
       case t :: rest => toks = rest; t
-      case Nil       => throw CypherParseError("unexpected end of expression")
+      case Nil       => throw CypherError("unexpected end of expression")
     }
     def accept(op: String): Boolean = toks match {
       case TOp(`op`) :: rest => toks = rest; true
@@ -107,9 +106,9 @@ object CypherExpr {
       case _ => false
     }
     def expectOp(op: String): Unit =
-      if (!accept(op)) throw CypherParseError(s"expected '$op', found $toks")
+      if (!accept(op)) throw CypherError(s"expected '$op', found $toks")
     def expectKw(kw: String): Unit =
-      if (!acceptKw(kw)) throw CypherParseError(s"expected $kw, found $toks")
+      if (!acceptKw(kw)) throw CypherError(s"expected $kw, found $toks")
 
     def parseExpr(): Ast = parseOr()
 
@@ -136,7 +135,7 @@ object CypherExpr {
           case TId(id) :: _ if id.equalsIgnoreCase("IS") =>
             next()
             val neg = acceptKw("NOT")
-            if (!acceptKw("NULL")) throw CypherParseError("expected NULL after IS")
+            if (!acceptKw("NULL")) throw CypherError("expected NULL after IS")
             l = IsNull(l, neg)
           case _ => done = true
         }
@@ -194,14 +193,14 @@ object CypherExpr {
             toks = rest; Ref(id, attr)
           case _ => Var(id)
         }
-      case t => throw CypherParseError(s"unexpected token $t")
+      case t => throw CypherError(s"unexpected token $t")
     }
   }
 
   def parse(text: String): Ast = {
     val p = new Parser(tokenize(text))
     val e = p.parseExpr()
-    if (p.toks.nonEmpty) throw CypherParseError(s"trailing tokens ${p.toks} in: $text")
+    if (p.toks.nonEmpty) throw CypherError(s"trailing tokens ${p.toks} in: $text")
     e
   }
 
@@ -228,14 +227,14 @@ object CypherExpr {
         case "and" => "AND"
         case "or"  => "OR"
         case o if binaryOps(o) => o
-        case o     => throw CypherParseError(s"unsupported operator $o")
+        case o     => throw CypherError(s"unsupported operator $o")
       }
       s"(${toSql(l)} $sqlOp ${toSql(r)})"
     case NotOp(e)         => s"(NOT ${toSql(e)})"
     case IsNull(e, false) => s"(${toSql(e)} IS NULL)"
     case IsNull(e, true)  => s"(${toSql(e)} IS NOT NULL)"
     case Call(fn, args)   => scalarCall(fn, args)
-    case other => throw CypherParseError(s"cannot translate $other")
+    case other => throw CypherError(s"cannot translate $other")
   }
 
   private def scalarCall(fn: String, args: List[Ast]): String = fn.toLowerCase match {
@@ -244,7 +243,7 @@ object CypherExpr {
     case "tointeger" => s"CAST(${toSql(args.head)} AS BIGINT)"
     case "tostring"  => s"CAST(${toSql(args.head)} AS STRING)"
     case "coalesce"  => s"coalesce(${args.map(toSql).mkString(", ")})"
-    case other       => throw CypherParseError(s"unsupported function $other")
+    case other       => throw CypherError(s"unsupported function $other")
   }
 
   /** Aggregate translation (used inside WITH-grouping). */
@@ -253,8 +252,8 @@ object CypherExpr {
       case "count" if args == List(Star) => "count(1)"
       case f @ ("count" | "min" | "max" | "avg" | "sum") => s"$f(${toSql(args.head)})"
       case "stdevp" => s"stddev_pop(${toSql(args.head)})"
-      case other    => throw CypherParseError(s"unsupported aggregate $other")
+      case other    => throw CypherError(s"unsupported aggregate $other")
     }
-    case other => throw CypherParseError(s"not an aggregate: $other")
+    case other => throw CypherError(s"not an aggregate: $other")
   }
 }

@@ -31,8 +31,8 @@ import repro.util.SparkSql.{Query, ident, number, string, view}
   * `as`, as MongoDB's optimizer coalesces it; any other $lookup or
   * $unwind raises [[MongoError]].
   *
-  * Expression operators: field paths (`$a`, `$_id.a`), $literal, $eq/$ne/
-  * $gt/$lt/$gte/$lte (with MongoDB's `<op> null` missing-data idioms),
+  * Expression operators: field paths (`$a`, `$_id.a`), $literal, $eq/$gt/
+  * $lt/$gte/$lte (with MongoDB's `$lt`/`$gt` `null` missing-data idioms),
   * $and/$or/$not, $add/$subtract/$multiply/$divide/$mod, $toUpper/$toLower/
   * $toInt/$toString, $cond; accumulators $min/$max/$avg/$sum/$stdDevPop.
   */
@@ -232,10 +232,7 @@ object MiniMongo {
         // only for missing/null x; `x > null` is true for present x.
         case "$lt" if pair._2 == JNull => s"(${e(pair._1)} IS NULL)"
         case "$gt" if pair._2 == JNull => s"(${e(pair._1)} IS NOT NULL)"
-        case "$eq" if pair._2 == JNull => s"(${e(pair._1)} IS NULL)"
         case "$eq"  => binary("=")
-        // as in MongoDB, a missing value is not equal to any value
-        case "$ne"  => s"(NOT ${binary("<=>")})"
         case "$gt"  => binary(">")
         case "$lt"  => binary("<")
         case "$gte" => binary(">=")

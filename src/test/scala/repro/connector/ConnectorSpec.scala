@@ -59,13 +59,6 @@ class ConnectorSpec extends SparkSpec {
     assert(r.scalarLong == 500L)
   }
 
-  test("MongoConnector postProcess strips a leaked _id column") {
-    val c = new MongoConnector(spark)
-    val r = c.postProcess(LocalResult(Seq("a", "_id", "b"), Seq(Seq(1L, 99L, 2L))))
-    assert(r.columns == Seq("a", "b"))
-    assert(r.rows == Seq(Seq(1L, 2L)))
-  }
-
   test("CypherConnector maintains a count metadata store (Neo4j fast path)") {
     val c = new CypherConnector(spark)
     c.initialize("Bench", "cy1", data)

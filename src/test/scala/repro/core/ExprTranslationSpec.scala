@@ -50,9 +50,11 @@ class ExprTranslationSpec extends AnyFunSuite {
 
   test("numeric comparisons") {
     assert(translate(col("ten") === 4, spark)  == "t.ten = 4")
-    assert(translate(col("ten") =!= 4, sql)    == """(t."ten" != 4 OR t."ten" IS NULL)""")
-    assert(translate(col("ten") =!= 4, cypher) == "(t.ten <> 4 OR t.ten IS NULL)")
-    assert(translate(col("ten") =!= 4, sqlpp)  == "(t.ten != 4 OR t.ten IS UNKNOWN)")
+    // `!=` has no rule: it is the language's two-valued `not` over its `eq`
+    assert(translate(col("ten") =!= 4, sql)    == """((t."ten" = 4) IS NOT TRUE)""")
+    assert(translate(col("ten") =!= 4, cypher) == "NOT coalesce(t.ten = 4, false)")
+    assert(translate(col("ten") =!= 4, sqlpp)  == "NOT coalesce(t.ten = 4, false)")
+    assert(translate(PFExpr.Cmp("ne", lit(4), col("ten")), mongo) == """{ "$not": [ { "$eq": [ 4, "$ten" ] } ] }""")
     assert(translate(col("onePercent") >= 40, spark) == "t.onePercent >= 40")
     assert(translate(col("onePercent") <= 60, mongo) == """{ "$lte": [ "$onePercent", 60 ] }""")
     assert(translate(col("x") > 1, mongo) == """{ "$gt": [ "$x", 1 ] }""")
@@ -127,12 +129,13 @@ class ExprTranslationSpec extends AnyFunSuite {
   }
 
   test("null literal") {
-    // as in Pandas, `x == None` is false and `x != None` true on every row
+    // as in Pandas, `x == None` is false and `x != None`, its `not`, true on every row
     for (lang <- Languages.all.values) {
       assert(translate(col("a") === null, lang) == "false", lang.name)
-      assert(translate(col("a") =!= null, lang) == "true", lang.name)
+      assert(translate(col("a") =!= null, lang) == translate(!lit(false), lang), lang.name)
       assert(translate(PFExpr.Cmp("eq", PFExpr.Lit(null), col("a")), lang) == "false", lang.name)
     }
+    assert(translate(col("a") =!= null, spark) == "((false) IS NOT TRUE)")
     assert(translate(PFExpr.Func("to_str", PFExpr.Lit(null)), spark) == "CAST(NULL AS STRING)")
     assert(translate(PFExpr.Func("to_str", PFExpr.Lit(null)), mongo) == """{ "$toString": null }""")
   }

@@ -70,12 +70,14 @@ class RewriteRuleSpec extends AnyFunSuite {
   test("every language defines the full rule vocabulary") {
     val queryKeys = Seq("q_all", "q_project", "q_project_value", "q_filter",
       "q_groupby", "q_sort", "q_join", "q_agg_value", "q_count_all")
-    val cmpKeys  = Seq("eq", "ne", "gt", "lt", "ge", "le", "isna")
+    val cmpKeys  = Seq("eq", "gt", "lt", "ge", "le", "isna")
     val mathKeys = Seq("add", "sub", "mul", "div", "mod")
     val fnKeys   = Seq("min", "max", "avg", "std", "count", "sum")
     for ((name, lang) <- Languages.all) {
       queryKeys.foreach(k => assert(lang.has("QUERIES", k), s"$name missing [QUERIES] $k"))
       cmpKeys.foreach(k => assert(lang.has("COMPARISON STATEMENTS", k), s"$name missing $k"))
+      // `!=` is `not` over `eq`, so no language writes its own
+      assert(!lang.has("COMPARISON STATEMENTS", "ne"), s"$name defines ne")
       mathKeys.foreach(k => assert(lang.has("ARITHMETIC STATEMENTS", k), s"$name missing $k"))
       fnKeys.foreach(k => assert(lang.has("FUNCTIONS", k), s"$name missing $k"))
       Seq("and", "or", "not").foreach(k => assert(lang.has("LOGICAL STATEMENTS", k), s"$name missing $k"))

@@ -78,10 +78,10 @@ class CypherExprSpec extends AnyFunSuite {
   }
 
   test("rejects malformed expressions") {
-    intercept[CypherParseError](parse("t."))
-    intercept[CypherParseError](parse("t.a ="))
-    intercept[CypherParseError](parse("(t.a"))
-    intercept[CypherParseError](parse("t.a = 1 extra ,"))
+    intercept[MiniCypher.CypherError](parse("t."))
+    intercept[MiniCypher.CypherError](parse("t.a ="))
+    intercept[MiniCypher.CypherError](parse("(t.a"))
+    intercept[MiniCypher.CypherError](parse("t.a = 1 extra ,"))
   }
 
   test("tokenizer: quoted strings with all three quote styles") {

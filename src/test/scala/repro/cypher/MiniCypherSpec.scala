@@ -177,7 +177,7 @@ class MiniCypherSpec extends SparkSpec {
   }
 
   test("a malformed join predicate raises at parse time") {
-    intercept[CypherExpr.CypherParseError](parseClauses(
+    intercept[CypherError](parseClauses(
       """MATCH(t: data)
         |MATCH(r: wisconsin2) WHERE t.unique1 = = r.unique1
         |WITH t, r""".stripMargin))

@@ -53,21 +53,30 @@ class PartitionOracleSpec extends SparkSpec {
   /** Order literals are ASCII: engines may order other text differently. */
   private val ordered = Seq("AAAAB", "AAB", "H", "O", "V")
 
-  private def compare(a: String, v: Any): Gen[PFExpr] = Gen.oneOf[PFExpr](
-    col(a) === v, col(a) =!= v, col(a) > v, col(a) < v, col(a) >= v, col(a) <= v)
+  private def compare(l: PFExpr, r: PFExpr): Gen[PFExpr] =
+    Gen.oneOf("eq", "ne", "gt", "lt", "ge", "le").map(PFExpr.Cmp(_, l, r))
+
+  /** A numeric attribute, tenPercent (with its missing values) most often. */
+  private val numericAttr: Gen[String] =
+    Gen.frequency(3 -> Gen.const("tenPercent"), 4 -> Gen.oneOf(numeric.map(_._1)))
+
+  /** A value of `a`'s domain, or a negative or fractional number. */
+  private def numericLit(a: String): Gen[PFExpr] = {
+    val (lo, hi) = numeric.toMap.apply(a)
+    Gen.frequency(
+      6 -> Gen.choose(lo, hi),
+      1 -> Gen.choose(-5, -1),
+      1 -> Gen.choose(lo, hi).map(_ + 0.5),
+    ).map(lit)
+  }
 
   private val leaf: Gen[PFExpr] = Gen.frequency(
-    // comparisons, tenPercent (with its missing values) most often
-    6 -> Gen.frequency(3 -> Gen.const("tenPercent"), 4 -> Gen.oneOf(numeric.map(_._1))).flatMap { a =>
-      val (lo, hi) = numeric.toMap.apply(a)
-      Gen.frequency(
-        6 -> Gen.choose(lo, hi),
-        1 -> Gen.choose(-5, -1),
-        1 -> Gen.choose(lo, hi).map(_ + 0.5),
-      ).flatMap(v => compare(a, v))
-    },
+    // an attribute left of a literal, right of one, or on both sides
+    6 -> numericAttr.flatMap(a => numericLit(a).flatMap(compare(col(a), _))),
+    1 -> numericAttr.flatMap(a => numericLit(a).flatMap(compare(_, col(a)))),
+    1 -> Gen.zip(numericAttr, numericAttr).flatMap { case (a, b) => compare(col(a), col(b)) },
     2 -> Gen.zip(Gen.oneOf(strings), Gen.oneOf(awkward ++ present)).flatMap { case (a, v) => Gen.oneOf(col(a) === v, col(a) =!= v) },
-    1 -> Gen.zip(Gen.oneOf(strings), Gen.oneOf(ordered)).flatMap { case (a, v) => compare(a, v) },
+    1 -> Gen.zip(Gen.oneOf(strings), Gen.oneOf(ordered)).flatMap { case (a, v) => compare(col(a), lit(v)) },
     1 -> Gen.oneOf("tenPercent", "ten").map(col(_).isna),
     // Pandas rejects `<`/`>` against None, so only `==` and `!=`
     2 -> Gen.oneOf("tenPercent", "stringu1").flatMap(a => Gen.oneOf(col(a) === null, col(a) =!= null)),
@@ -91,6 +100,8 @@ class PartitionOracleSpec extends SparkSpec {
     case PFExpr.Logical(op, l, r)     => features(l) ++ features(r) + op
     case PFExpr.Not(x)                => features(x) + "not"
     case PFExpr.IsNa(x)               => features(x) + "isna"
+    case PFExpr.Cmp(_, PFExpr.Attr(a), PFExpr.Attr(b)) => Set(a, b, "two attributes")
+    case PFExpr.Cmp(op, v: PFExpr.Lit, a: PFExpr.Attr) => features(PFExpr.Cmp(op, a, v)) + "literal left"
     case PFExpr.Cmp(_, PFExpr.Attr(a), PFExpr.Lit(v)) => Set(a, v match {
       case null            => "None"
       case s: String       => s
@@ -107,7 +118,8 @@ class PartitionOracleSpec extends SparkSpec {
   }
 
   test("the fixed seeds draw AND, OR, NOT, isna, None, tenPercent, negative and fractional numbers and every awkward string") {
-    val want = Set("and", "or", "not", "isna", "None", "negative", "fraction", "tenPercent") ++ awkward
+    val want = Set("and", "or", "not", "isna", "None", "negative", "fraction", "tenPercent",
+      "literal left", "two attributes") ++ awkward
     assert(want -- predicates.flatMap(features) == Set.empty)
   }
 
@@ -128,5 +140,14 @@ class PartitionOracleSpec extends SparkSpec {
     val probes = Seq((col("unique1") < 1e19) -> N, (col("unique1") > 0.0001) -> (N - 1),
       (col("onePercent") <= 12345678.5) -> N)
     for ((p, want) <- probes; s <- systems) assert(s.df.filter(p).count() == want, s"${s.name}: $p")
+  }
+
+  test("x != y keeps the rows where y is missing on the four connectors and EagerFrame") {
+    // tenPercent is missing on 200 rows and 4 on 200 others; where present it equals ten
+    val probes = Seq(PFExpr.Cmp("ne", lit(4), col("tenPercent")) -> (N - 200),
+      PFExpr.Cmp("ne", col("ten"), col("tenPercent")) -> 200L)
+    val wrong = for ((p, want) <- probes; s <- systems; got = s.df.filter(p).count() if got != want)
+      yield s"${s.name}: $got, not $want, for $p"
+    if (wrong.nonEmpty) fail(wrong.mkString("\n"))
   }
 }

@@ -169,14 +169,6 @@ class MiniMongoSpec extends SparkSpec {
       run("[" + lookup + """,{"$unwind":{"path":"$m","preserveNullAndEmptyArrays":true}}]"""))
   }
 
-  test("$ne keeps missing values, as MongoDB does") {
-    // tenPercent is missing on 100 of the 1000 rows and 4 on 100 others
-    assert(run("""[{"$match":{"$expr":{"$ne":["$tenPercent",4]}}},{"$count":"count"}]""")
-      .collect().head.getLong(0) == 900L)
-    assert(run("""[{"$match":{"$expr":{"$ne":["$tenPercent",null]}}},{"$count":"count"}]""")
-      .collect().head.getLong(0) == 900L)
-  }
-
   test("$project computes nested expressions and bare field paths") {
     val df = run("""[{"$project":{"u":{"$toUpper":{"$toLower":"$string4"}},"k":"$ten",
                     |"s":{"$toString":"$ten"},"x":{"$eq":[{"$add":["$ten",1]},5]}}}]""".stripMargin)
